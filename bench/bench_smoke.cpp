@@ -360,6 +360,7 @@ int main(int argc, char** argv) {
       {"analysis_flow_accuracy", ""},
       {"analysis_compose_accuracy", ""},
       {"analysis_earlystop_accuracy", ""},
+      {"trial_ledger", ""},
       {"bench_pass_time", "--benchmark_list_tests=true"},
       {"bench_vm", "--benchmark_list_tests=true"},
       {"bench_service", ""},

@@ -1,0 +1,220 @@
+// Trial-cost ledger: where a checkpointed campaign's trial time goes.
+// For every kernel x technique it draws the campaign's fault plan (the
+// seed and serial draw of fault::run_campaign), runs each trial alone
+// through vm::Engine::run_from from the golden checkpoints, and times it.
+// Trials are split by outcome — benign trials that rejoined the golden
+// run, benign trials that ran to halt, SDC, detected, crash — and their
+// interpreted steps are split at the first fault into prefix (restore or
+// cold start up to the faulting instruction) and post-fault steps, the
+// split the engine's FastForwardStats ledger keeps (cross-checked here).
+// Each cell also times its golden run twice, plain and capturing the
+// checkpoints, since capture is paid once per campaign before any trial.
+//
+// Knobs: FERRUM_TRIALS (default 1000), FERRUM_SCALE (default 1),
+// FERRUM_CKPT_STRIDE (default 64; 0 also means 64). Outcome counts go to
+// `metrics`; the rejoined/halted split and the step ledger depend on the
+// stride, and times on the machine, so they go to `wallclock`.
+#include <array>
+#include <chrono>
+#include <cstdio>
+
+#include "bench_util.h"
+#include "fault/campaign.h"
+#include "fault/step_budget.h"
+#include "pipeline/pipeline.h"
+#include "support/rng.h"
+#include "telemetry/json.h"
+#include "vm/engine.h"
+#include "workloads/workloads.h"
+
+using namespace ferrum;
+using pipeline::Technique;
+
+namespace {
+
+enum Bucket : int {
+  kBenignRejoined,
+  kBenignHalted,
+  kSdc,
+  kDetected,
+  kCrash,
+  kBucketCount,
+};
+constexpr const char* kBucketNames[kBucketCount] = {
+    "benign_rejoined", "benign_halted", "sdc", "detected", "crash"};
+
+Bucket bucket_of(const vm::VmResult& run,
+                 const std::vector<std::uint64_t>& golden_output) {
+  switch (run.status) {
+    case vm::ExitStatus::kOk:
+      if (run.output != golden_output) return kSdc;
+      return run.rejoined ? kBenignRejoined : kBenignHalted;
+    case vm::ExitStatus::kDetected:
+      return kDetected;
+    default:
+      return kCrash;
+  }
+}
+
+struct Ledger {
+  std::array<std::uint64_t, kBucketCount> trials{};
+  std::array<double, kBucketCount> seconds{};
+  std::array<std::uint64_t, kBucketCount> prefix_steps{};
+  std::array<std::uint64_t, kBucketCount> post_fault_steps{};
+  double golden_seconds = 0.0;
+  double capture_seconds = 0.0;
+
+  void add(const Ledger& other) {
+    golden_seconds += other.golden_seconds;
+    capture_seconds += other.capture_seconds;
+    for (int b = 0; b < kBucketCount; ++b) {
+      trials[b] += other.trials[b];
+      seconds[b] += other.seconds[b];
+      prefix_steps[b] += other.prefix_steps[b];
+      post_fault_steps[b] += other.post_fault_steps[b];
+    }
+  }
+  template <typename T>
+  static T sum(const std::array<T, kBucketCount>& values) {
+    T total{};
+    for (const T& value : values) total += value;
+    return total;
+  }
+};
+
+/// One kernel x technique: a plain and a capturing golden run, then every
+/// trial of the plan timed alone. Returns false when a golden run fails
+/// or the engine's own ledger disagrees with the per-trial split.
+bool run_cell(const masm::AsmProgram& program, int trials, int stride,
+              std::uint64_t seed, Ledger& ledger) {
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  const vm::PredecodedProgram decoded(program);
+  vm::VmOptions options;
+  auto start = Clock::now();
+  const vm::VmResult plain =
+      vm::Engine(decoded, options).run(options, nullptr, 0);
+  ledger.golden_seconds = seconds_since(start);
+  vm::CheckpointSet ckpts;
+  start = Clock::now();
+  const vm::VmResult golden = vm::Engine(decoded, options).run_capturing(
+      options, static_cast<std::uint64_t>(stride), ckpts);
+  ledger.capture_seconds = seconds_since(start);
+  if (!plain.ok() || !golden.ok()) return false;
+  options.max_steps = fault::faulty_step_budget(golden.steps);
+  vm::Engine engine(decoded, options);
+
+  Rng rng(seed);
+  for (int t = 0; t < trials; ++t) {
+    vm::FaultSpec fault;
+    fault.site = rng.next_below(golden.fi_sites);
+    fault.bit = static_cast<int>(rng.next_below(64));
+    start = Clock::now();
+    const vm::VmResult run = engine.run_from(ckpts, options, &fault, 1);
+    const double seconds = seconds_since(start);
+    // Steps interpreted: from the resume checkpoint (checkpoint 0 is the
+    // cold start) to halt, trap, or the rejoin boundary.
+    const std::uint64_t from = ckpts.nearest_at_or_before(fault.site).steps;
+    const std::uint64_t to =
+        run.rejoined ? ckpts.nearest_at_or_before(run.rejoin_site).steps
+                     : run.steps;
+    const std::uint64_t executed = to - from;
+    const std::uint64_t prefix =
+        run.fault_injected ? run.fault_step - from : executed;
+    const Bucket b = bucket_of(run, golden.output);
+    ++ledger.trials[b];
+    ledger.seconds[b] += seconds;
+    ledger.prefix_steps[b] += prefix;
+    ledger.post_fault_steps[b] += executed - prefix;
+  }
+  const vm::FastForwardStats& ff = engine.stats();
+  return ff.prefix_steps == Ledger::sum(ledger.prefix_steps) &&
+         ff.post_fault_steps == Ledger::sum(ledger.post_fault_steps) &&
+         ff.unrejoined_halts ==
+             ledger.trials[kBenignHalted] + ledger.trials[kSdc] &&
+         ff.unrejoined_halt_steps == ledger.post_fault_steps[kBenignHalted] +
+                                         ledger.post_fault_steps[kSdc];
+}
+
+telemetry::Json ledger_json(const Ledger& ledger) {
+  telemetry::Json json = telemetry::Json::object();
+  const double total = Ledger::sum(ledger.seconds);
+  for (int b = 0; b < kBucketCount; ++b) {
+    telemetry::Json row = telemetry::Json::object();
+    row["trials"] = ledger.trials[b];
+    row["seconds"] = ledger.seconds[b];
+    row["time_share"] = total > 0.0 ? ledger.seconds[b] / total : 0.0;
+    row["prefix_steps"] = ledger.prefix_steps[b];
+    row["post_fault_steps"] = ledger.post_fault_steps[b];
+    json[kBucketNames[b]] = row;
+  }
+  json["seconds"] = total;
+  json["golden_seconds"] = ledger.golden_seconds;
+  json["capture_seconds"] = ledger.capture_seconds;
+  return json;
+}
+
+}  // namespace
+
+int main() {
+  const int trials = benchutil::env_trials(1000);
+  const int scale = benchutil::env_scale(1);
+  const int stride_knob = benchutil::env_ckpt_stride();
+  const int stride = stride_knob == 0 ? 64 : stride_knob;
+  const std::uint64_t seed = fault::CampaignOptions{}.seed;
+  benchutil::BenchReport report("trial_ledger");
+  report.metrics()["trials"] = trials;
+  report.metrics()["scale"] = scale;
+  report.wallclock()["stride"] = stride;
+
+  std::printf("Trial-cost ledger — %d trials per kernel, scale x%d, "
+              "stride %d, trials run singly\n\n", trials, scale, stride);
+  std::printf("%-26s %9s | %8s %8s %8s %8s %8s | %11s %11s | %9s %9s\n",
+              "technique", "trial ms", "rejoin", "halt", "sdc", "detected",
+              "crash", "prefix st", "post st", "golden ms", "capture");
+  std::printf("%-26s %9s | %44s |\n", "", "", "share of trial time (benign "
+              "split by rejoin)");
+  benchutil::print_rule(143);
+  const Technique techniques[] = {Technique::kNone, Technique::kIrEddi,
+                                  Technique::kHybrid, Technique::kFerrum};
+  int status = 0;
+  for (Technique technique : techniques) {
+    const char* name = pipeline::technique_name(technique);
+    Ledger total;
+    for (const auto& base : workloads::all()) {
+      const auto w = workloads::scaled(base.name, scale);
+      auto build = pipeline::build(w.source, technique);
+      Ledger cell;
+      if (!run_cell(build.program, trials, stride, seed, cell)) {
+        std::fprintf(stderr, "trial_ledger: %s/%s golden run failed or the "
+                     "engine ledger disagrees\n", w.name.c_str(), name);
+        status = 1;
+      }
+      telemetry::Json counts = telemetry::Json::object();
+      counts["benign"] = cell.trials[kBenignRejoined] +
+                         cell.trials[kBenignHalted];
+      counts["sdc"] = cell.trials[kSdc];
+      counts["detected"] = cell.trials[kDetected];
+      counts["crash"] = cell.trials[kCrash];
+      report.metrics()["outcomes"][name][w.name] = counts;
+      report.wallclock()["workloads"][name][w.name] = ledger_json(cell);
+      total.add(cell);
+    }
+    report.wallclock()["techniques"][name] = ledger_json(total);
+    const double seconds = Ledger::sum(total.seconds);
+    std::printf("%-26s %9.1f |", name, seconds * 1e3);
+    for (int b = 0; b < kBucketCount; ++b) {
+      std::printf(" %7.1f%%",
+                  seconds > 0.0 ? 100.0 * total.seconds[b] / seconds : 0.0);
+    }
+    std::printf(" | %11llu %11llu | %9.1f %9.1f\n",
+                static_cast<unsigned long long>(Ledger::sum(total.prefix_steps)),
+                static_cast<unsigned long long>(
+                    Ledger::sum(total.post_fault_steps)),
+                total.golden_seconds * 1e3, total.capture_seconds * 1e3);
+  }
+  report.write();
+  return status;
+}

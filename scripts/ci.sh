@@ -51,6 +51,8 @@ run_preset() {
   args="$(preset_cmake_args "$name")"
   log="$dir/ci-$name.log"
   echo "==> preset $name (build dir: $dir)"
+  # The log lives in the build dir, which a fresh checkout lacks.
+  mkdir -p "$dir"
   # shellcheck disable=SC2086 — args is a deliberate word list
   if ! cmake -B "$dir" -S . $args >"$log" 2>&1; then
     echo "    configure FAILED (see $log)"

@@ -344,6 +344,19 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
         "compose: sections do not partition the dynamic site stream");
   }
 
+  // Golden-rejoin certificate digests. A trial rejoins where its state
+  // matches golden under this program's GPR read masks, so the digest of
+  // each rejoin boundary also folds the masks: an edit that makes more
+  // register bytes readable invalidates the certificate (false miss).
+  std::uint64_t read_mask_fold = 0;
+  for (int r = 0; r < masm::kGprCount; ++r) {
+    read_mask_fold = mix64(read_mask_fold ^
+                           decoded.gpr_read_mask(static_cast<masm::Gpr>(r)));
+  }
+  const auto rejoin_digest = [&](std::uint64_t site) {
+    return mix64(site_digests[site] ^ read_mask_fold);
+  };
+
   const std::uint64_t max_steps =
       audit_mode ? faulty_step_budget(golden.steps)
                  : quantize_budget(faulty_step_budget(golden.steps));
@@ -442,7 +455,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
     }
     if (valid) {
       for (const auto& [site, digest] : parsed->deps) {
-        if (site >= site_digests.size() || site_digests[site] != digest) {
+        if (site >= site_digests.size() || rejoin_digest(site) != digest) {
           valid = false;
           break;
         }
@@ -672,7 +685,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
         const std::uint64_t dep =
             std::min<std::uint64_t>(rejoin_sites[w], site_digests.size() - 1);
         cold_deps[static_cast<std::size_t>(work[w].section)].emplace(
-            dep, site_digests[dep]);
+            dep, rejoin_digest(dep));
       }
     }
   }

@@ -31,9 +31,11 @@
 // validated against the summary's recorded dependencies — the SHA-256
 // of every function the cached trials touched after their faults fired,
 // and the golden state digest at every checkpoint boundary where a
-// cached trial golden-rejoined — and any mismatch is a miss (false
-// misses only, so staleness cannot leak in; soundness is modulo 64-bit
-// digest collisions, argued in DESIGN.md).
+// cached trial golden-rejoined, folded with the program's GPR read
+// masks (vm::PredecodedProgram::gpr_read_mask) that decided the rejoin
+// — and any mismatch is a miss (false misses only, so staleness cannot
+// leak in; soundness is modulo 64-bit digest collisions, argued in
+// DESIGN.md).
 //
 // Layering: like audit's prune hook, this consumes the section map as
 // plain data (check::sections::SectionMap, built by ferrum_check) and

@@ -413,17 +413,12 @@ RegEffects effects_of(const AsmInst& inst) {
       case Operand::Kind::kXmm:
         fx.xmm_writes.push_back(op.xmm);
         break;
-      case Operand::Kind::kMem: {
+      case Operand::Kind::kMem:
         // Address registers are read even when the access is a write.
-        Operand address_only = op;
-        read_operand(address_only);
+        read_operand(op);
         fx.reads_mem = false;  // undo the read flag; this is a store
         fx.writes_mem = true;
-        if (op.mem.base != Gpr::kNone || op.mem.index != Gpr::kNone) {
-          // reads recorded above
-        }
         break;
-      }
       default:
         break;
     }

@@ -207,11 +207,31 @@ std::string print(const AsmProgram& program);
 // Register read/write sets, shared by liveness analysis, the protection
 // passes and the VM's fault-site enumeration.
 
+/// Fixed-capacity list backing RegEffects. effects_of runs once per
+/// executed instruction in the timing model and once per static
+/// instruction at predecode, so it must not touch the heap. 16 entries
+/// cover the widest instruction (a call clobbers all 16 xmm registers).
+template <typename T>
+class EffectList {
+ public:
+  static constexpr std::size_t kCapacity = 16;
+  void push_back(T value) { items_[size_++] = value; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + size_; }
+
+ private:
+  std::array<T, kCapacity> items_{};
+  std::size_t size_ = 0;
+};
+
 struct RegEffects {
-  std::vector<Gpr> gpr_reads;
-  std::vector<Gpr> gpr_writes;
-  std::vector<int> xmm_reads;
-  std::vector<int> xmm_writes;
+  EffectList<Gpr> gpr_reads;
+  EffectList<Gpr> gpr_writes;
+  EffectList<int> xmm_reads;
+  EffectList<int> xmm_writes;
   bool reads_flags = false;
   bool writes_flags = false;
   bool reads_mem = false;

@@ -39,6 +39,12 @@ Json ckpt_json(const vm::CheckpointTelemetry& ckpt) {
   // Trials whose golden-identical tail was elided by the rejoin
   // comparison (the elided steps count under steps_skipped).
   json["rejoins"] = ckpt.ff.rejoins;
+  // Trial-cost ledger: steps_executed split at each trial's first fault,
+  // and the faulted trials that ran to halt without rejoining.
+  json["prefix_steps"] = ckpt.ff.prefix_steps;
+  json["post_fault_steps"] = ckpt.ff.post_fault_steps;
+  json["unrejoined_halts"] = ckpt.ff.unrejoined_halts;
+  json["unrejoined_halt_steps"] = ckpt.ff.unrejoined_halt_steps;
   return json;
 }
 

@@ -6,7 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <unordered_map>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 // Threaded dispatch needs the GNU computed-goto extension (&&label).
 // FERRUM_FORCE_SWITCH_DISPATCH (the CMake FERRUM_DISPATCH=switch option)
@@ -77,6 +81,77 @@ bool operand_widths_ok(const AsmInst& inst) {
   }
   return true;
 }
+
+/// Value mask of a `width`-byte register read; decode-rejected widths
+/// count as the full register (conservative — they trap anyway).
+std::uint64_t width_mask(int width) {
+  switch (width) {
+    case 1: return 0xff;
+    case 4: return 0xffff'ffffULL;
+    default: return ~std::uint64_t{0};
+  }
+}
+
+/// Bytes of `reg` that `inst` reads, given that masm::effects_of lists
+/// `reg` among its reads: the widths of the register operands naming it,
+/// or the full register when it forms an address or is read implicitly
+/// (push/pop/call/ret). A destination operand naming the same register
+/// can only widen the result, which is conservative.
+std::uint64_t read_bytes(const AsmInst& inst, Gpr reg) {
+  if (inst.op == Op::kPush || inst.op == Op::kPop || inst.op == Op::kCall ||
+      inst.op == Op::kRet) {
+    return ~std::uint64_t{0};
+  }
+  std::uint64_t bytes = 0;
+  for (const Operand& op : inst.ops) {
+    if (op.kind == Operand::Kind::kMem &&
+        (op.mem.base == reg || op.mem.index == reg)) {
+      return ~std::uint64_t{0};
+    }
+    if (op.kind == Operand::Kind::kReg && op.reg == reg) {
+      bytes |= width_mask(op.width);
+    }
+  }
+  return bytes != 0 ? bytes : ~std::uint64_t{0};
+}
+
+/// The VM's memory arena: anonymous zero pages mapped once per Engine, so
+/// building an Engine costs a mapping instead of a 16 MiB memset, and
+/// pages a program never touches never count toward RSS. PROT_NONE guard
+/// pages on both sides make an access past either end fault; the arena is
+/// not heap memory, so ASan's redzones do not cover it.
+class Arena {
+ public:
+  explicit Arena(std::size_t bytes)
+      : size_(bytes), guard_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
+    const std::size_t body = (bytes + guard_ - 1) / guard_ * guard_;
+    mapped_ = body + 2 * guard_;
+    void* base = mmap(nullptr, mapped_, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<std::uint8_t*>(base);
+    if (body != 0 &&
+        mprotect(base_ + guard_, body, PROT_READ | PROT_WRITE) != 0) {
+      munmap(base_, mapped_);
+      throw std::bad_alloc();
+    }
+  }
+  ~Arena() { munmap(base_, mapped_); }
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+  Arena(Arena&&) = delete;
+  Arena& operator=(Arena&&) = delete;
+
+  std::uint8_t* data() { return base_ + guard_; }
+  const std::uint8_t* data() const { return base_ + guard_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_;
+  std::size_t guard_;
+  std::size_t mapped_ = 0;
+  std::uint8_t* base_ = nullptr;
+};
 
 bool is_fusable_alu(Op op) {
   switch (op) {
@@ -201,6 +276,17 @@ PredecodedProgram::PredecodedProgram(const AsmProgram& program)
       a.tag = kTagMovAlu;
     }
   }
+  // Golden-rejoin read masks (see gpr_read_mask).
+  for (const DecodedInst& d : code_) {
+    if (d.inst == nullptr) continue;
+    for (Gpr reg : masm::effects_of(*d.inst).gpr_reads) {
+      const auto r = static_cast<std::size_t>(reg);
+      if (r < gpr_read_mask_.size()) {
+        gpr_read_mask_[r] |= read_bytes(*d.inst, reg);
+      }
+    }
+  }
+  gpr_read_mask_[static_cast<std::size_t>(Gpr::kRax)] = ~std::uint64_t{0};
 }
 
 // --------------------------------------------------------- checkpoints --
@@ -716,9 +802,26 @@ class Engine::Impl {
     fault_count_ = 0;
     stats.trials += 1;
     stats.restores += 1;
+    account_steps(result, fork_steps, stats);
+  }
+
+  /// Step accounting of one finished run that began interpreting at step
+  /// `start` (a restored checkpoint, a batch fork point, or 0): skipped
+  /// and executed steps, the rejoin, and the prefix/post-fault ledger.
+  void account_steps(const VmResult& result, std::uint64_t start,
+                     FastForwardStats& stats) const {
+    const std::uint64_t executed = result.steps - start - rejoin_skipped_;
+    const std::uint64_t prefix =
+        fault_injected_ ? fault_step_ - start : executed;
+    stats.steps_skipped += start + rejoin_skipped_;
+    stats.steps_executed += executed;
+    stats.prefix_steps += prefix;
+    stats.post_fault_steps += executed - prefix;
     if (rejoined_) stats.rejoins += 1;
-    stats.steps_skipped += fork_steps + rejoin_skipped_;
-    stats.steps_executed += result.steps - fork_steps - rejoin_skipped_;
+    if (fault_injected_ && !rejoined_ && result.ok()) {
+      stats.unrejoined_halts += 1;
+      stats.unrejoined_halt_steps += executed - prefix;
+    }
   }
 
   // ------------------------------------------------------------- run --
@@ -791,9 +894,10 @@ class Engine::Impl {
            rejoin_->summary().steps <= options.max_steps;
   }
 
-  /// Exact state comparison against a golden checkpoint, taken at the
-  /// same inter-instruction position capture used. Memory is compared as
-  /// a diff: pages whose provenance pointer already equals the golden
+  /// State comparison against a golden checkpoint, taken at the same
+  /// inter-instruction position capture used: exact for everything but
+  /// the GPR bytes no instruction can read. Memory is compared as a
+  /// diff: pages whose provenance pointer already equals the golden
   /// page (and were not dirtied since) are skipped without touching
   /// their bytes — consecutive checkpoints share unchanged PageImages,
   /// so the byte-compared set is roughly the trial's write footprint.
@@ -805,7 +909,13 @@ class Engine::Impl {
         flags_.cf != b.cf) {
       return false;
     }
-    if (std::memcmp(gpr_, b.gpr, sizeof(gpr_)) != 0) return false;
+    // GPRs compare only under the program's read masks: a byte that no
+    // instruction reads cannot reach a later value, address, branch,
+    // output or return value, so it cannot make the tail differ.
+    for (int r = 0; r < masm::kGprCount; ++r) {
+      const std::uint64_t read = program_.gpr_read_mask(static_cast<Gpr>(r));
+      if (((gpr_[r] ^ b.gpr[r]) & read) != 0) return false;
+    }
     if (std::memcmp(xmm_, b.xmm, sizeof(xmm_)) != 0) return false;
     if (output_ != b.output) return false;
     static const PageImage kZeroPage = {};
@@ -949,15 +1059,8 @@ class Engine::Impl {
       result.profile = std::move(profile_);
     }
     stats.trials += 1;
-    if (rejoined_) stats.rejoins += 1;
-    if (resume != nullptr) {
-      stats.restores += 1;
-      stats.steps_skipped += resume->steps + rejoin_skipped_;
-      stats.steps_executed += result.steps - resume->steps - rejoin_skipped_;
-    } else {
-      stats.steps_skipped += rejoin_skipped_;
-      stats.steps_executed += result.steps - rejoin_skipped_;
-    }
+    if (resume != nullptr) stats.restores += 1;
+    account_steps(result, resume != nullptr ? resume->steps : 0, stats);
     options_ = nullptr;
     faults_ = nullptr;
     fault_count_ = 0;
@@ -1982,7 +2085,7 @@ class Engine::Impl {
   const PredecodedProgram& program_;
   const DecodedInst* code_;
 
-  std::vector<std::uint8_t> memory_;
+  Arena memory_;
   const std::size_t npages_;
   /// Provenance per page: the checkpoint PageImage the page's content
   /// last equalled (null = all-zero), valid when dirty_ is clear. Held

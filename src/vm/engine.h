@@ -31,6 +31,7 @@
 // tracking) and must be per-worker.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -112,6 +113,18 @@ class PredecodedProgram {
   }
   /// Index of `main`, -1 when absent (running such a program traps).
   int main_index() const { return main_index_; }
+  /// The bytes of `reg` that some instruction of the program can read,
+  /// as a mask over the 64-bit register value: the union, over every
+  /// instruction masm::effects_of lists as reading `reg`, of the register
+  /// operand widths (0xff for a byte read, 0xffffffff for a 32-bit one),
+  /// or the full register for address registers and implicit reads (the
+  /// stack pointer of push/pop/call/ret, a call's argument registers,
+  /// ret's return and callee-saved registers). %rax is always full: the
+  /// exit reads it as the return value. A merging narrow write (setcc
+  /// %r10b) reads nothing. Golden rejoin compares GPRs under this mask.
+  std::uint64_t gpr_read_mask(masm::Gpr reg) const {
+    return gpr_read_mask_[static_cast<std::size_t>(reg)];
+  }
 
  private:
   const masm::AsmProgram* program_;
@@ -121,6 +134,7 @@ class PredecodedProgram {
   /// end-of-function sentinel.
   std::vector<std::vector<std::int32_t>> block_base_pc_;
   int main_index_ = -1;
+  std::array<std::uint64_t, masm::kGprCount> gpr_read_mask_{};
 };
 
 // ---------------------------------------------------------------- pages --
@@ -231,6 +245,18 @@ struct FastForwardStats {
   // summary instead of re-executed. Those elided steps count under
   // steps_skipped.
   std::uint64_t rejoins = 0;
+  // Trial-cost ledger: steps_executed split at each run's first fault,
+  // so prefix_steps + post_fault_steps == steps_executed. prefix_steps
+  // run from the restored checkpoint or cold start up to and including
+  // the faulting instruction (a batch lane starts at its fork point; the
+  // shared walk before it is walk_steps); a run whose fault never fired
+  // is all prefix. unrejoined_halts counts the faulted runs that reached
+  // halt without rejoining — they interpreted their whole suffix — and
+  // unrejoined_halt_steps is their share of post_fault_steps.
+  std::uint64_t prefix_steps = 0;
+  std::uint64_t post_fault_steps = 0;
+  std::uint64_t unrejoined_halts = 0;
+  std::uint64_t unrejoined_halt_steps = 0;
 
   void merge(const FastForwardStats& other) {
     trials += other.trials;
@@ -241,6 +267,10 @@ struct FastForwardStats {
     lanes += other.lanes;
     walk_steps += other.walk_steps;
     rejoins += other.rejoins;
+    prefix_steps += other.prefix_steps;
+    post_fault_steps += other.post_fault_steps;
+    unrejoined_halts += other.unrejoined_halts;
+    unrejoined_halt_steps += other.unrejoined_halt_steps;
   }
   /// Fraction of would-be-cold work skipped: skipped / (skipped + executed).
   double ratio() const {

@@ -102,12 +102,17 @@ struct VmOptions {
   /// Inner-loop dispatch strategy (see DispatchMode).
   DispatchMode dispatch = DispatchMode::kAuto;
   /// Golden rejoin: a checkpointed faulty trial that, after its last
-  /// fault has fired, reaches a golden checkpoint boundary in *exactly*
-  /// the golden state (registers, flags, memory, output, counters) has a
-  /// provably golden tail — the engine adopts the golden final result
-  /// instead of re-executing it. Result-exact by construction (the VM is
-  /// deterministic), asserted byte-identical by tests; off only for
-  /// engine-cost baselines. Ignored when no checkpoints are in play.
+  /// fault has fired, reaches a golden checkpoint boundary in the golden
+  /// state has a provably golden tail — the engine adopts the golden
+  /// final result instead of re-executing it. The match is exact on pc,
+  /// counters, flags, xmm, output and memory; GPRs are compared only on
+  /// the bytes some instruction of the program can read
+  /// (PredecodedProgram::gpr_read_mask). That is still result-exact: a
+  /// byte no instruction reads cannot reach any later value, address,
+  /// branch, output or return value, and later writes either overwrite
+  /// it or (8-bit merges) leave it in place. Asserted byte-identical by
+  /// tests; off only for engine-cost baselines. Ignored when no
+  /// checkpoints are in play.
   bool golden_rejoin = true;
   /// Record which functions a trial's *post-fault* execution entered
   /// (VmResult::touched_functions) — the code a cached per-section

@@ -312,6 +312,60 @@ TEST(Engine, FastForwardStatsAccounting) {
   EXPECT_GT(stats.steps_executed, 0u);
   EXPECT_GE(stats.ratio(), 0.0);
   EXPECT_LE(stats.ratio(), 1.0);
+
+  // Trial-cost ledger: executed steps split at each run's first fault.
+  EXPECT_EQ(stats.prefix_steps + stats.post_fault_steps, stats.steps_executed);
+  EXPECT_GT(stats.prefix_steps, 0u);
+  EXPECT_GT(stats.post_fault_steps, 0u);
+  EXPECT_LE(stats.unrejoined_halts, static_cast<std::uint64_t>(n));
+  EXPECT_LE(stats.unrejoined_halt_steps, stats.post_fault_steps);
+
+  // The lockstep batch path keeps the same identity, and its post-fault
+  // work is the scalar path's: lanes differ only in where the prefix is
+  // paid (the shared walk lands in walk_steps, not steps_executed).
+  std::vector<vm::FaultSpec> faults(n);
+  std::vector<vm::Engine::BatchTrial> lanes(n);
+  for (int i = 0; i < n; ++i) {
+    faults[i].site = static_cast<std::uint64_t>(i * 3);
+    faults[i].bit = i % 64;
+    lanes[i] = {&faults[i], 1};
+  }
+  vm::Engine batch_engine(decoded, options);
+  std::vector<vm::VmResult> results(n);
+  batch_engine.run_batch(&ckpts, options, lanes.data(), lanes.size(),
+                         results.data());
+  const vm::FastForwardStats& batched = batch_engine.stats();
+  EXPECT_EQ(batched.prefix_steps + batched.post_fault_steps,
+            batched.steps_executed);
+  EXPECT_EQ(batched.post_fault_steps, stats.post_fault_steps);
+  EXPECT_EQ(batched.unrejoined_halts, stats.unrejoined_halts);
+  EXPECT_EQ(batched.unrejoined_halt_steps, stats.unrejoined_halt_steps);
+}
+
+TEST(Engine, TrialCostLedgerLandsInWallclockOnly) {
+  // The ledger reaches the campaign's wallclock ckpt section (and through
+  // it ferrumc --stats, audit and compose); the metrics section, which
+  // must stay byte-comparable, does not carry it.
+  const auto& w = workloads::by_name("bfs");
+  auto build = pipeline::build(w.source, Technique::kFerrum);
+  fault::CampaignOptions options;
+  options.trials = 48;
+  options.ckpt_stride = 64;
+  const auto result = fault::run_campaign(build.program, options);
+  const telemetry::Json wallclock = telemetry::wallclock_json(result);
+  const telemetry::Json* ckpt = wallclock.find("ckpt");
+  ASSERT_NE(ckpt, nullptr);
+  const auto field = [ckpt](const char* key) -> std::uint64_t {
+    const telemetry::Json* value = ckpt->find(key);
+    EXPECT_NE(value, nullptr) << key;
+    return value != nullptr ? value->as_uint() : 0;
+  };
+  EXPECT_EQ(field("prefix_steps") + field("post_fault_steps"),
+            field("steps_executed"));
+  EXPECT_LE(field("unrejoined_halt_steps"), field("post_fault_steps"));
+  EXPECT_LE(field("unrejoined_halts"), field("trials"));
+  EXPECT_EQ(telemetry::to_json(result).dump().find("prefix_steps"),
+            std::string::npos);
 }
 
 TEST(Engine, ThinningBoundsLiveCheckpointsDeterministically) {
@@ -452,7 +506,7 @@ TEST(DispatchEquivalence, DifferentialFuzzAcrossDispatchAndBatch) {
   }
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::string source = fuzz_program(seed * 0x9e3779b97f4a7c15ull);
-    for (Technique technique : {Technique::kNone, Technique::kFerrum}) {
+    for (Technique technique : kAllTechniques) {
       auto build = pipeline::build(source, technique);
       vm::VmOptions sw;
       sw.dispatch = vm::DispatchMode::kSwitch;
@@ -737,6 +791,233 @@ TEST(Engine, GoldenRejoinIsResultExactAndAccounted) {
   EXPECT_EQ(reference.stats().steps_executed + reference.stats().steps_skipped,
             rejoining.stats().steps_executed +
                 rejoining.stats().steps_skipped);
+}
+
+// ------------------------------------------------------ rejoin read masks --
+
+/// Read mask of `reg` in a hand-written MiniASM program.
+std::uint64_t read_mask_of(const char* text, masm::Gpr reg) {
+  DiagEngine diags;
+  const masm::AsmProgram program = masm::parse_program(text, diags);
+  EXPECT_FALSE(diags.has_errors()) << diags.render();
+  return vm::PredecodedProgram(program).gpr_read_mask(reg);
+}
+
+constexpr std::uint64_t kFullMask = ~std::uint64_t{0};
+
+TEST(Engine, GprReadMaskCountsOperandWidths) {
+  // FERRUM's flag-check shape: setcc writes the spare register, cmpb
+  // reads its low byte. A merging narrow write reads nothing; a 32-bit
+  // read widens the mask to four bytes; a register that is only written
+  // is never compared at all. %rax is always full (the exit reads it).
+  constexpr const char* kText = R"(
+main:
+.entry:
+	setl	%r10b
+	cmpb	$1, %r10b
+	setg	%r11b
+	cmpb	$0, %r11b
+	movl	%r11d, %r8d
+	sete	%r14b
+	movq	$5, %r13
+)";
+  EXPECT_EQ(read_mask_of(kText, masm::Gpr::kR10), 0xffu);
+  EXPECT_EQ(read_mask_of(kText, masm::Gpr::kR11), 0xffff'ffffu);
+  EXPECT_EQ(read_mask_of(kText, masm::Gpr::kR8), 0u);
+  EXPECT_EQ(read_mask_of(kText, masm::Gpr::kR13), 0u);
+  EXPECT_EQ(read_mask_of(kText, masm::Gpr::kR14), 0u);
+  EXPECT_EQ(read_mask_of(kText, masm::Gpr::kRsp), 0u);
+  EXPECT_EQ(read_mask_of(kText, masm::Gpr::kRax), kFullMask);
+}
+
+TEST(Engine, GprReadMaskIsFullForAddressesAndImplicitReads) {
+  // Address registers (base and index, of loads and stores alike), push
+  // and its implicit stack pointer, a call's argument registers and ret's
+  // return/callee-saved registers are read as whole registers.
+  constexpr const char* kAddressAndPush = R"(
+main:
+.entry:
+	movq	8(%rbx,%rdx,4), %r8
+	movl	%r9d, 16(%rsi)
+	pushq	%r12
+)";
+  EXPECT_EQ(read_mask_of(kAddressAndPush, masm::Gpr::kRbx), kFullMask);
+  EXPECT_EQ(read_mask_of(kAddressAndPush, masm::Gpr::kRdx), kFullMask);
+  EXPECT_EQ(read_mask_of(kAddressAndPush, masm::Gpr::kRsi), kFullMask);
+  EXPECT_EQ(read_mask_of(kAddressAndPush, masm::Gpr::kR9), 0xffff'ffffu);
+  EXPECT_EQ(read_mask_of(kAddressAndPush, masm::Gpr::kR12), kFullMask);
+  EXPECT_EQ(read_mask_of(kAddressAndPush, masm::Gpr::kRsp), kFullMask);
+  EXPECT_EQ(read_mask_of(kAddressAndPush, masm::Gpr::kR8), 0u);
+
+  constexpr const char* kCall = R"(
+main:
+.entry:
+	call	print_int
+)";
+  for (masm::Gpr reg : {masm::Gpr::kRdi, masm::Gpr::kRsi, masm::Gpr::kRdx,
+                        masm::Gpr::kRcx, masm::Gpr::kR8, masm::Gpr::kR9,
+                        masm::Gpr::kRsp}) {
+    EXPECT_EQ(read_mask_of(kCall, reg), kFullMask) << static_cast<int>(reg);
+  }
+  EXPECT_EQ(read_mask_of(kCall, masm::Gpr::kR12), 0u);
+
+  constexpr const char* kRet = R"(
+main:
+.entry:
+	ret
+)";
+  for (masm::Gpr reg : {masm::Gpr::kRax, masm::Gpr::kRbx, masm::Gpr::kRsp,
+                        masm::Gpr::kRbp, masm::Gpr::kR12, masm::Gpr::kR15}) {
+    EXPECT_EQ(read_mask_of(kRet, reg), kFullMask) << static_cast<int>(reg);
+  }
+  EXPECT_EQ(read_mask_of(kRet, masm::Gpr::kR10), 0u);
+}
+
+/// A flip in bits 8-63 of %r10 just after a FERRUM flag check's setcc,
+/// run with golden rejoin off (truth) and on, from the same checkpoints.
+struct R10FlipRuns {
+  std::uint64_t site = 0;
+  /// fi_sites of the first checkpoint past `site`; 0 when there is none.
+  std::uint64_t next_boundary = 0;
+  std::vector<std::pair<vm::VmResult, vm::VmResult>> off_on;
+};
+
+R10FlipRuns run_r10_flips(const masm::AsmProgram& program) {
+  const vm::PredecodedProgram decoded(program);
+  const vm::VmResult golden = vm::run(program);
+  EXPECT_TRUE(golden.ok());
+  vm::VmOptions off;
+  off.max_steps = fault::faulty_step_budget(golden.steps);
+  off.golden_rejoin = false;
+  vm::VmOptions on = off;
+  on.golden_rejoin = true;
+
+  // The golden site map locates every setcc that writes %r10b; take one
+  // from the middle of the run so a checkpoint boundary follows it.
+  vm::Engine engine(decoded, on);
+  std::vector<std::int32_t> site_pcs;
+  engine.set_site_pc_sink(&site_pcs);
+  engine.run(on, nullptr, 0);
+  engine.set_site_pc_sink(nullptr);
+  std::vector<std::uint64_t> setcc_sites;
+  for (std::size_t id = 0; id < site_pcs.size(); ++id) {
+    const masm::AsmInst* inst =
+        decoded.code()[static_cast<std::size_t>(site_pcs[id])].inst;
+    if (inst->op == masm::Op::kSetcc && inst->ops[0].is_reg() &&
+        inst->ops[0].reg == masm::Gpr::kR10) {
+      setcc_sites.push_back(id);
+    }
+  }
+  R10FlipRuns runs;
+  if (setcc_sites.empty()) {
+    ADD_FAILURE() << "no setcc writes %r10b";
+    return runs;
+  }
+  runs.site = setcc_sites[setcc_sites.size() / 2];
+
+  vm::CheckpointSet ckpts;
+  EXPECT_TRUE(engine.run_capturing(on, 32, ckpts).ok());
+  if (const vm::Checkpoint* next = ckpts.next_after(runs.site)) {
+    runs.next_boundary = next->fi_sites;
+  }
+  for (int bit : {8, 31, 40, 63}) {
+    vm::FaultSpec fault;
+    fault.site = runs.site;
+    fault.bit = bit;
+    runs.off_on.emplace_back(engine.run_from(ckpts, off, &fault, 1),
+                             engine.run_from(ckpts, on, &fault, 1));
+  }
+  return runs;
+}
+
+TEST(Engine, UnreadRegisterBytesRejoinAtTheNextBoundary) {
+  // Every FERRUM kernel reads its spare flag registers only as bytes
+  // (cmpb $k, %r10b), so a flip in bits 8-63 after the setcc is never
+  // read and never overwritten. The exact comparison failed at every
+  // boundary and such trials ran to halt; the masked comparison rejoins
+  // at the first boundary past the fault, with a result equal to the
+  // rejoin-off run on every field.
+  const auto& w = workloads::by_name("bfs");
+  auto build = pipeline::build(w.source, Technique::kFerrum);
+  ASSERT_EQ(vm::PredecodedProgram(build.program).gpr_read_mask(
+                masm::Gpr::kR10),
+            0xffu);
+  const R10FlipRuns runs = run_r10_flips(build.program);
+  ASSERT_NE(runs.next_boundary, 0u);
+  ASSERT_FALSE(runs.off_on.empty());
+  for (const auto& [off, on] : runs.off_on) {
+    expect_same_result(off, on, "site " + std::to_string(runs.site));
+    EXPECT_FALSE(off.rejoined);
+    EXPECT_TRUE(on.rejoined);
+    EXPECT_EQ(on.rejoin_site, runs.next_boundary);
+  }
+}
+
+TEST(Engine, FullWidthReadOfTheFlippedRegisterBlocksRejoin) {
+  // The negative case: the same program plus a never-called function
+  // that reads %r10 whole. The mask is per program, so the flipped bytes
+  // are now readable and the trial must not rejoin while they differ —
+  // FERRUM never rewrites %r10's upper bytes, so it never rejoins.
+  const auto& w = workloads::by_name("bfs");
+  auto build = pipeline::build(w.source, Technique::kFerrum);
+  DiagEngine diags;
+  masm::AsmProgram reader = masm::parse_program(R"(
+reads_r10:
+.entry:
+	movq	%r10, %rax
+	ret
+)",
+                                                diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.render();
+  masm::AsmProgram program = build.program;
+  program.functions.push_back(std::move(reader.functions.front()));
+  ASSERT_EQ(vm::PredecodedProgram(program).gpr_read_mask(masm::Gpr::kR10),
+            kFullMask);
+  const R10FlipRuns runs = run_r10_flips(program);
+  ASSERT_FALSE(runs.off_on.empty());
+  for (const auto& [off, on] : runs.off_on) {
+    expect_same_result(off, on, "site " + std::to_string(runs.site));
+    EXPECT_FALSE(on.rejoined);
+  }
+}
+
+TEST(EngineEquivalence, MaskedRejoinAtEveryBoundaryMatchesRejoinOff) {
+  // The densest rejoin stress: stride-1 checkpoints put a boundary right
+  // after every fault, so a trial is compared while its flipped register
+  // still holds the flip. Flips in bits 8-63 are exactly the ones the
+  // read masks may ignore; each rejoin must still equal the rejoin-off
+  // run on every field, in every technique.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::string source = fuzz_program(seed * 0x9e3779b97f4a7c15ull);
+    for (Technique technique : kAllTechniques) {
+      auto build = pipeline::build(source, technique);
+      const vm::VmResult golden = vm::run(build.program);
+      ASSERT_TRUE(golden.ok()) << source;
+      vm::VmOptions off;
+      off.max_steps = fault::faulty_step_budget(golden.steps);
+      off.golden_rejoin = false;
+      vm::VmOptions on = off;
+      on.golden_rejoin = true;
+      const vm::PredecodedProgram decoded(build.program);
+      vm::Engine engine(decoded, on);
+      vm::CheckpointSet ckpts;
+      ASSERT_TRUE(engine.run_capturing(on, 1, ckpts).ok());
+      const std::uint64_t step =
+          std::max<std::uint64_t>(1, golden.fi_sites / 48);
+      for (std::uint64_t site = 0; site < golden.fi_sites; site += step) {
+        for (int bit : {9, 20, 33, 50}) {
+          vm::FaultSpec fault;
+          fault.site = site;
+          fault.bit = bit;
+          expect_same_result(engine.run_from(ckpts, off, &fault, 1),
+                             engine.run_from(ckpts, on, &fault, 1),
+                             "site " + std::to_string(site) + " bit " +
+                                 std::to_string(bit) + "\n" + source);
+        }
+      }
+      EXPECT_GT(engine.stats().rejoins, 0u);
+    }
+  }
 }
 
 TEST(EngineEquivalence, BatchWidthStrideRejoinCross) {

@@ -401,10 +401,9 @@ constexpr const char* kProgramV2 = R"(
   int main() { int a = f(6); int b = g(a); print_int(a); print_int(b); return 0; }
 )";
 
-fault::ComposeReport run_incremental(const char* source,
-                                     service::ResultCache& cache) {
-  const auto build = pipeline::build(source, Technique::kFerrum);
-  const SectionMap map = check::sections::build_sections(build.program);
+fault::ComposeReport compose_cached(const masm::AsmProgram& program,
+                                    service::ResultCache& cache) {
+  const SectionMap map = check::sections::build_sections(program);
   fault::ComposeOptions options;
   options.trials = 64;
   options.lookup = [&cache](const std::string& key) {
@@ -413,7 +412,13 @@ fault::ComposeReport run_incremental(const char* source,
   options.store = [&cache](const std::string& key, const std::string& bytes) {
     cache.store(key, bytes, /*replace=*/true);
   };
-  return fault::compose_campaign(build.program, map, options);
+  return fault::compose_campaign(program, map, options);
+}
+
+fault::ComposeReport run_incremental(const char* source,
+                                     service::ResultCache& cache) {
+  return compose_cached(pipeline::build(source, Technique::kFerrum).program,
+                        cache);
 }
 
 TEST(Incremental, EditingOneFunctionRecampaignsOnlyItsSections) {
@@ -473,6 +478,38 @@ TEST(Incremental, EditingOneFunctionRecampaignsOnlyItsSections) {
 
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
+}
+
+TEST(Incremental, RejoinCertificatesPinTheReadMasks) {
+  // A cached FERRUM trial may rejoin while differing from golden in
+  // register bytes its program never reads (%r10's upper bytes). The
+  // same program plus a never-called function that reads %r10 whole has
+  // identical section keys and golden states, but those rejoins no
+  // longer prove anything: their sections must re-campaign, and the
+  // composition must still equal a from-scratch run.
+  const auto build = pipeline::build(kProgramV1, Technique::kFerrum);
+  DiagEngine diags;
+  masm::AsmProgram reader = masm::parse_program(R"(
+reads_r10:
+.entry:
+	movq	%r10, %rax
+	ret
+)",
+                                                diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.render();
+  masm::AsmProgram widened = build.program;
+  widened.functions.push_back(std::move(reader.functions.front()));
+
+  service::ResultCache cache("");
+  const fault::ComposeReport cold = compose_cached(build.program, cache);
+  EXPECT_GT(cold.ckpt.ff.rejoins, 0u);
+  EXPECT_EQ(compose_cached(build.program, cache).cold_sections, 0u);
+
+  const fault::ComposeReport rerun = compose_cached(widened, cache);
+  EXPECT_GT(rerun.cold_sections, 0u);
+  service::ResultCache fresh("");
+  EXPECT_EQ(telemetry::to_json(rerun).dump(),
+            telemetry::to_json(compose_cached(widened, fresh)).dump());
 }
 
 TEST(Incremental, CacheValueSurvivesDiskRoundTrip) {
