@@ -1,5 +1,7 @@
 #include "frontend/parser.h"
 
+#include <string>
+
 #include "frontend/lexer.h"
 
 namespace ferrum::minic {
@@ -18,6 +20,10 @@ std::string CType::to_string() const {
 
 namespace {
 
+/// Thrown once the nesting budget is spent; the diagnostic is already
+/// reported, and run() abandons the rest of the input.
+struct NestingOverrun {};
+
 class Parser {
  public:
   Parser(std::vector<Token> tokens, DiagEngine& diags)
@@ -25,14 +31,55 @@ class Parser {
 
   TranslationUnit run() {
     TranslationUnit unit;
-    while (!at(Tok::kEof)) {
-      parse_top_level(unit);
-      if (diags_.error_count() > 20) break;  // avoid error avalanches
+    try {
+      while (!at(Tok::kEof)) {
+        parse_top_level(unit);
+        if (diags_.error_count() > 20) break;  // avoid error avalanches
+      }
+    } catch (const NestingOverrun&) {
     }
     return unit;
   }
 
  private:
+  /// Nesting budget: the deepest tree the parser builds. The recursive
+  /// entry points (assignment expressions, unary/cast chains, statements)
+  /// spend one unit each while they run, and the loops that wrap the tree
+  /// built so far (binary-operator chains, postfix chains) one per wrap,
+  /// so that no input can recurse deep enough to overflow the stack, here
+  /// or in the passes that walk the tree. A parenthesised level spends
+  /// two units (its expression and its unary operand); nothing the
+  /// workloads or tests contain comes near.
+  static constexpr int kMaxNesting = 1000;
+
+  /// A share of the nesting budget, held until the enclosing function
+  /// returns. An overrun is reported at the current token and abandons
+  /// the parse.
+  class Nested {
+   public:
+    explicit Nested(Parser& parser, int units = 1) : parser_(parser) {
+      for (int i = 0; i < units; ++i) deepen();
+    }
+    ~Nested() { parser_.nesting_ -= held_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+    /// Holds one more unit.
+    void deepen() {
+      ++held_;
+      if (++parser_.nesting_ > kMaxNesting) {
+        parser_.diags_.error(parser_.cur().loc,
+                             "nesting exceeds the parser's depth budget of " +
+                                 std::to_string(kMaxNesting));
+        throw NestingOverrun{};
+      }
+    }
+
+   private:
+    Parser& parser_;
+    int held_ = 0;
+  };
+
   const Token& cur() const { return tokens_[pos_]; }
   const Token& ahead(std::size_t n) const {
     return tokens_[std::min(pos_ + n, tokens_.size() - 1)];
@@ -172,6 +219,7 @@ class Parser {
   }
 
   std::unique_ptr<Stmt> parse_stmt() {
+    const Nested nested(*this);
     if (at(Tok::kLBrace)) return parse_block();
     if (at_type()) return parse_decl_stmt();
     auto stmt = std::make_unique<Stmt>();
@@ -285,6 +333,7 @@ class Parser {
   std::unique_ptr<Expr> parse_expr() { return parse_assign(); }
 
   std::unique_ptr<Expr> parse_assign() {
+    const Nested nested(*this);
     auto lhs = parse_binary(0);
     AssignOp op;
     switch (cur().kind) {
@@ -358,9 +407,11 @@ class Parser {
 
   std::unique_ptr<Expr> parse_binary(int min_precedence) {
     auto lhs = parse_unary();
+    Nested chain(*this, 0);
     for (;;) {
       int precedence = precedence_of(cur().kind);
       if (precedence < min_precedence || precedence < 0) return lhs;
+      chain.deepen();
       Token op = take();
       auto rhs = parse_binary(precedence + 1);
       auto expr = std::make_unique<Expr>();
@@ -374,6 +425,7 @@ class Parser {
   }
 
   std::unique_ptr<Expr> parse_unary() {
+    const Nested nested(*this);
     auto make_unary = [&](UnaryOp op) {
       Token token = take();
       auto expr = std::make_unique<Expr>();
@@ -413,8 +465,10 @@ class Parser {
 
   std::unique_ptr<Expr> parse_postfix() {
     auto expr = parse_primary();
+    Nested chain(*this, 0);
     for (;;) {
       if (at(Tok::kLBracket)) {
+        chain.deepen();
         Token token = take();
         auto index = std::make_unique<Expr>();
         index->kind = ExprKind::kIndex;
@@ -424,6 +478,7 @@ class Parser {
         expect(Tok::kRBracket);
         expr = std::move(index);
       } else if (at(Tok::kPlusPlus) || at(Tok::kMinusMinus)) {
+        chain.deepen();
         Token token = take();
         auto post = std::make_unique<Expr>();
         post->kind = ExprKind::kPostfix;
@@ -490,6 +545,7 @@ class Parser {
   std::vector<Token> tokens_;
   DiagEngine& diags_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;
 };
 
 }  // namespace

@@ -45,6 +45,13 @@ Json ckpt_json(const vm::CheckpointTelemetry& ckpt) {
   json["post_fault_steps"] = ckpt.ff.post_fault_steps;
   json["unrejoined_halts"] = ckpt.ff.unrejoined_halts;
   json["unrejoined_halt_steps"] = ckpt.ff.unrejoined_halt_steps;
+  // Exit-kind ledger: finished runs by how they ended (sums to trials).
+  Json exits = Json::object();
+  for (int s = 0; s < vm::kExitStatusCount; ++s) {
+    exits[vm::exit_status_name(static_cast<vm::ExitStatus>(s))] =
+        ckpt.ff.exits[static_cast<std::size_t>(s)];
+  }
+  json["exits"] = exits;
   return json;
 }
 

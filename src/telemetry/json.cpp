@@ -179,7 +179,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   std::optional<Json> run() {
-    std::optional<Json> value = parse_value();
+    std::optional<Json> value = parse_value(0);
     if (!value.has_value()) return std::nullopt;
     skip_ws();
     if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
@@ -208,7 +208,8 @@ class Parser {
     return true;
   }
 
-  std::optional<Json> parse_value() {
+  /// `depth` counts the arrays and objects enclosing the value.
+  std::optional<Json> parse_value(int depth) {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
@@ -219,8 +220,8 @@ class Parser {
       case 'f': return consume_word("false") ? std::optional<Json>(Json(false))
                                              : std::nullopt;
       case '"': return parse_string();
-      case '[': return parse_array();
-      case '{': return parse_object();
+      case '[': return parse_array(depth);
+      case '{': return parse_object(depth);
       default: return parse_number();
     }
   }
@@ -313,13 +314,13 @@ class Parser {
     return Json(value);
   }
 
-  std::optional<Json> parse_array() {
-    if (!consume('[')) return std::nullopt;
+  std::optional<Json> parse_array(int depth) {
+    if (!consume('[') || depth >= Json::kMaxDepth) return std::nullopt;
     Json out = Json::array();
     skip_ws();
     if (consume(']')) return out;
     for (;;) {
-      std::optional<Json> item = parse_value();
+      std::optional<Json> item = parse_value(depth + 1);
       if (!item.has_value()) return std::nullopt;
       out.push_back(std::move(*item));
       if (consume(',')) continue;
@@ -328,8 +329,8 @@ class Parser {
     }
   }
 
-  std::optional<Json> parse_object() {
-    if (!consume('{')) return std::nullopt;
+  std::optional<Json> parse_object(int depth) {
+    if (!consume('{') || depth >= Json::kMaxDepth) return std::nullopt;
     Json out = Json::object();
     skip_ws();
     if (consume('}')) return out;
@@ -338,7 +339,7 @@ class Parser {
       std::optional<Json> key = parse_string();
       if (!key.has_value()) return std::nullopt;
       if (!consume(':')) return std::nullopt;
-      std::optional<Json> value = parse_value();
+      std::optional<Json> value = parse_value(depth + 1);
       if (!value.has_value()) return std::nullopt;
       out[key->as_string()] = std::move(*value);
       if (consume(',')) continue;

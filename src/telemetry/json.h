@@ -73,10 +73,16 @@ class Json {
   /// as null.
   std::string dump() const;
 
+  /// Arrays and objects nested deeper than this do not parse. The limit
+  /// bounds the parser's recursion, so untrusted input (a service frame)
+  /// cannot exhaust the stack; no document the repo writes comes close.
+  static constexpr int kMaxDepth = 256;
+
   /// Strict parser for the subset dump() emits plus ordinary JSON
   /// (arbitrary whitespace, any key order). Returns nullopt on any
-  /// syntax error or trailing garbage. Integers that fit int64/uint64
-  /// parse as kInt/kUint, everything else numeric as kDouble.
+  /// syntax error, trailing garbage or nesting past kMaxDepth. Integers
+  /// that fit int64/uint64 parse as kInt/kUint, everything else numeric
+  /// as kDouble.
   static std::optional<Json> parse(std::string_view text);
 
  private:

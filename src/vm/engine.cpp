@@ -537,7 +537,11 @@ class Engine::Impl {
         }
         const std::uint64_t walk_start_steps = steps_;
         try {
-          if (loop(nullptr, lane.site) == LoopExit::kHalted) walk_over = true;
+          const LoopExit exit = loop(nullptr, lane.site);
+          if (exit.kind != LoopExit::kPaused) {
+            walk_over = true;
+            walk_status = exit.status;
+          }
         } catch (const Trap& trap) {
           walk_over = true;
           walk_status = trap.status;
@@ -555,7 +559,7 @@ class Engine::Impl {
         result.output = output_;
         result.steps = steps_;
         result.fi_sites = fi_sites_;
-        stats.trials += 1;
+        stats.count_exit(walk_status);
         stats.steps_skipped += steps_;
         continue;
       }
@@ -781,11 +785,13 @@ class Engine::Impl {
     journaling_ = true;
     result = VmResult{};
     try {
-      run_loop_to_completion(*options_, nullptr);
-      result.return_value =
-          static_cast<std::int64_t>(gpr_[static_cast<int>(Gpr::kRax)]);
+      result.status = run_loop_to_completion(*options_, nullptr);
     } catch (const Trap& trap) {
       result.status = trap.status;
+    }
+    if (result.ok()) {
+      result.return_value =
+          static_cast<std::int64_t>(gpr_[static_cast<int>(Gpr::kRax)]);
     }
     journaling_ = false;
     journal_restore();
@@ -800,7 +806,7 @@ class Engine::Impl {
     result.rejoin_site = rejoin_site_;
     faults_ = nullptr;
     fault_count_ = 0;
-    stats.trials += 1;
+    stats.count_exit(result.status);
     stats.restores += 1;
     account_steps(result, fork_steps, stats);
   }
@@ -880,7 +886,24 @@ class Engine::Impl {
 
   static constexpr std::uint64_t kNoPause = ~std::uint64_t{0};
 
-  enum class LoopExit : std::uint8_t { kHalted, kPaused };
+  /// How one inner-loop run ended. The traps a dispatch loop raises
+  /// itself — a detection, the step budget, the end-of-function
+  /// sentinel and an undefined operand width — come back as kTrapped
+  /// with their status rather than as a thrown Trap: most faulty runs of
+  /// protected code end in a detection, and unwinding costs about 5 us
+  /// per run. Traps raised inside the per-opcode helpers (bounds,
+  /// divide, invalid target/return/callee/operand) still throw: they are
+  /// rare, and returning them would put a check after every helper call
+  /// on the hot path.
+  struct LoopExit {
+    enum Kind : std::uint8_t { kHalted, kPaused, kTrapped };
+    Kind kind = kHalted;
+    /// kOk unless kind == kTrapped.
+    ExitStatus status = ExitStatus::kOk;
+  };
+  static constexpr LoopExit trapped(ExitStatus status) {
+    return LoopExit{LoopExit::kTrapped, status};
+  }
 
   /// Whether this run can attempt golden rejoin: checkpoints with a
   /// clean golden summary are in play, no per-step introspection wants
@@ -957,8 +980,11 @@ class Engine::Impl {
     return loop(capture, stop_at_sites);
   }
 
-  void run_loop_to_completion(const VmOptions& options,
-                              CheckpointSet* capture) {
+  /// Runs the current trial to its end and returns its status: kOk on
+  /// halt (or an adopted golden tail), otherwise the trap the loop
+  /// raised. Traps raised inside helpers propagate as Trap.
+  ExitStatus run_loop_to_completion(const VmOptions& options,
+                                    CheckpointSet* capture) {
     const bool threaded = use_threaded_loop(options, capture);
     if (can_rejoin(options)) {
       // Once every sampled fault has fired (fi_sites_ has passed the
@@ -974,17 +1000,16 @@ class Engine::Impl {
         const Checkpoint* b =
             rejoin_->next_after(std::max(fi_sites_, last_site));
         if (b == nullptr) break;  // past the last boundary — run it out
-        if (run_loop(capture, b->fi_sites, threaded) == LoopExit::kHalted) {
-          return;
-        }
+        const LoopExit exit = run_loop(capture, b->fi_sites, threaded);
+        if (exit.kind != LoopExit::kPaused) return exit.status;
         if (state_matches(*b)) {
           rejoin_site_ = b->fi_sites;
           adopt_golden_tail(rejoin_->summary());
-          return;
+          return ExitStatus::kOk;
         }
       }
     }
-    run_loop(capture, kNoPause, threaded);
+    return run_loop(capture, kNoPause, threaded).status;
   }
 
   VmResult execute(const VmOptions& options, const FaultSpec* faults,
@@ -1034,11 +1059,13 @@ class Engine::Impl {
           do_capture(*capture);
         }
       }
-      run_loop_to_completion(options, capture);
-      result.return_value =
-          static_cast<std::int64_t>(gpr_[static_cast<int>(Gpr::kRax)]);
+      result.status = run_loop_to_completion(options, capture);
     } catch (const Trap& trap) {
       result.status = trap.status;
+    }
+    if (result.ok()) {
+      result.return_value =
+          static_cast<std::int64_t>(gpr_[static_cast<int>(Gpr::kRax)]);
     }
     result.output = std::move(output_);
     result.trace = std::move(trace_);
@@ -1058,7 +1085,7 @@ class Engine::Impl {
       finalize_hot_blocks();
       result.profile = std::move(profile_);
     }
-    stats.trials += 1;
+    stats.count_exit(result.status);
     if (resume != nullptr) stats.restores += 1;
     account_steps(result, resume != nullptr ? resume->steps : 0, stats);
     options_ = nullptr;
@@ -1079,11 +1106,11 @@ class Engine::Impl {
     const std::size_t trace_limit = options_->trace_limit;
     const std::uint64_t max_steps = options_->max_steps;
     for (;;) {
-      if (fi_sites_ >= stop_at_sites) return LoopExit::kPaused;
+      if (fi_sites_ >= stop_at_sites) return LoopExit{LoopExit::kPaused};
       const DecodedInst& d = code_[pc_];
-      if (d.inst == nullptr) throw Trap{ExitStatus::kTrapInvalid};
+      if (d.inst == nullptr) return trapped(ExitStatus::kTrapInvalid);
       const AsmInst& inst = *d.inst;
-      if (++steps_ > max_steps) throw Trap{ExitStatus::kTrapSteps};
+      if (++steps_ > max_steps) return trapped(ExitStatus::kTrapSteps);
       if (profiling) {
         ++profile_.op_counts[static_cast<int>(inst.op)];
         ++profile_.origin_counts[static_cast<int>(inst.origin)];
@@ -1095,12 +1122,16 @@ class Engine::Impl {
         trace_.push_back(fn.name + "/" + fn.blocks[d.bidx].label + ": " +
                          inst.to_string());
       }
+      // The instructions that trap by themselves: counted, profiled and
+      // traced as a step like any other, never timed.
+      if (d.tag == kTagBadWidth) return trapped(ExitStatus::kTrapInvalid);
+      if (inst.op == Op::kDetectTrap) return trapped(ExitStatus::kDetected);
       touched_addr_ = 0;
       next_pc_ = pc_ + 1;
       exec(inst, d);
       if (timing_on) timing_->step(inst, touched_addr_);
       pc_ = next_pc_;
-      if (halted_) return LoopExit::kHalted;
+      if (halted_) return LoopExit{LoopExit::kHalted};
       if (capture != nullptr && fi_sites_ >= next_capture_at_) {
         do_capture(*capture);
       }
@@ -1682,9 +1713,10 @@ class Engine::Impl {
     write_flags_faultable(flags, inst, d);
   }
 
-  /// Executes one instruction (reference switch dispatch).
+  /// Executes one instruction (reference switch dispatch). loop() has
+  /// already returned for the instructions that trap by themselves
+  /// (undefined operand width, kDetectTrap).
   void exec(const AsmInst& inst, const DecodedInst& d) {
-    if (d.tag == kTagBadWidth) throw Trap{ExitStatus::kTrapInvalid};
     switch (inst.op) {
       case Op::kMov: exec_mov(inst, d); return;
       case Op::kMovsx: exec_movsx(inst, d); return;
@@ -1704,7 +1736,7 @@ class Engine::Impl {
       case Op::kJmp: exec_jmp(inst, d); return;
       case Op::kCall: exec_call(inst, d); return;
       case Op::kRet: exec_ret(inst, d); return;
-      case Op::kDetectTrap: throw Trap{ExitStatus::kDetected};
+      case Op::kDetectTrap: break;  // returned by loop(), never executed
       case Op::kMovsd: exec_movsd(inst, d); return;
       case Op::kAddsd: case Op::kSubsd: case Op::kMulsd: case Op::kDivsd:
         exec_sse_arith(inst, d);
@@ -1795,10 +1827,10 @@ class Engine::Impl {
 // loop()'s iteration — one predictable compare per instruction
 // (stop_at_sites is kNoPause on non-rejoin runs, so it never fires).
 #define FERRUM_PAUSE() \
-  if (fi_sites_ >= stop_at_sites) return LoopExit::kPaused
-#define FERRUM_STEP()                                             \
-  d = code + pc_;                                                 \
-  if (++steps_ > max_steps) throw Trap{ExitStatus::kTrapSteps};   \
+  if (fi_sites_ >= stop_at_sites) return LoopExit{LoopExit::kPaused}
+#define FERRUM_STEP()                                                   \
+  d = code + pc_;                                                       \
+  if (++steps_ > max_steps) return trapped(ExitStatus::kTrapSteps);     \
   next_pc_ = pc_ + 1
 #define FERRUM_NEXT() \
   pc_ = next_pc_;     \
@@ -1865,7 +1897,7 @@ class Engine::Impl {
     exec_ret(*d->inst, *d);
     if (halted_) {
       pc_ = next_pc_;
-      return LoopExit::kHalted;
+      return LoopExit{LoopExit::kHalted};
     }
     FERRUM_NEXT();
   lbl_movsd:
@@ -1914,13 +1946,13 @@ class Engine::Impl {
     FERRUM_NEXT();
   lbl_detect:
     FERRUM_STEP();
-    throw Trap{ExitStatus::kDetected};
+    return trapped(ExitStatus::kDetected);
   lbl_sentinel:
     // End-of-function sentinel: trap without counting a step.
-    throw Trap{ExitStatus::kTrapInvalid};
+    return trapped(ExitStatus::kTrapInvalid);
   lbl_bad_width:
     FERRUM_STEP();
-    throw Trap{ExitStatus::kTrapInvalid};
+    return trapped(ExitStatus::kTrapInvalid);
   lbl_cmp_jcc:
     // Fused pair: both halves with full bookkeeping, one dispatch. The
     // mid-pair pause check keeps pause positions identical to loop()'s

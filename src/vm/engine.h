@@ -257,6 +257,15 @@ struct FastForwardStats {
   std::uint64_t post_fault_steps = 0;
   std::uint64_t unrejoined_halts = 0;
   std::uint64_t unrejoined_halt_steps = 0;
+  // Exit-kind ledger: finished runs per ExitStatus, so they sum to
+  // trials (count_exit bumps both).
+  std::array<std::uint64_t, kExitStatusCount> exits{};
+
+  /// Records one finished run and how it ended.
+  void count_exit(ExitStatus status) {
+    trials += 1;
+    exits[static_cast<std::size_t>(status)] += 1;
+  }
 
   void merge(const FastForwardStats& other) {
     trials += other.trials;
@@ -271,6 +280,7 @@ struct FastForwardStats {
     post_fault_steps += other.post_fault_steps;
     unrejoined_halts += other.unrejoined_halts;
     unrejoined_halt_steps += other.unrejoined_halt_steps;
+    for (std::size_t i = 0; i < exits.size(); ++i) exits[i] += other.exits[i];
   }
   /// Fraction of would-be-cold work skipped: skipped / (skipped + executed).
   double ratio() const {

@@ -35,6 +35,7 @@ enum class ExitStatus : std::uint8_t {
   kTrapSteps,     // step budget exhausted (livelock)
   kTrapInvalid,   // invalid jump target / return address / opcode use
 };
+constexpr int kExitStatusCount = static_cast<int>(ExitStatus::kTrapInvalid) + 1;
 
 const char* exit_status_name(ExitStatus status);
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -90,6 +91,15 @@ void expect_same_result(const vm::VmResult& want, const vm::VmResult& got,
     EXPECT_EQ(want.fault_landing->block, got.fault_landing->block) << context;
     EXPECT_EQ(want.fault_landing->inst, got.fault_landing->inst) << context;
   }
+}
+
+/// FastForwardStats::exits, indexed by ExitStatus.
+using ExitCounts = std::array<std::uint64_t, vm::kExitStatusCount>;
+
+std::uint64_t sum_of(const ExitCounts& counts) {
+  std::uint64_t total = 0;
+  for (std::uint64_t count : counts) total += count;
+  return total;
 }
 
 TEST(EngineEquivalence, CampaignAllWorkloadsAllTechniques) {
@@ -291,6 +301,8 @@ TEST(Engine, FastForwardStatsAccounting) {
 
   const int n = 24;
   std::uint64_t expected_restores = 0;
+  ExitCounts expected_exits{};
+  expected_exits[static_cast<std::size_t>(vm::ExitStatus::kOk)] = 1;  // golden
   for (int i = 0; i < n; ++i) {
     vm::FaultSpec fault;
     fault.site = static_cast<std::uint64_t>(i * 3);
@@ -300,11 +312,17 @@ TEST(Engine, FastForwardStatsAccounting) {
     // trials anchored on a later checkpoint move the restore counter.
     const vm::Checkpoint& resume = ckpts.nearest_at_or_before(fault.site);
     if (resume.fi_sites != 0 || resume.steps != 0) ++expected_restores;
-    engine.run_from(ckpts, options, &fault, 1);
+    const vm::VmResult result = engine.run_from(ckpts, options, &fault, 1);
+    ++expected_exits[static_cast<std::size_t>(result.status)];
   }
   const vm::FastForwardStats& stats = engine.stats();
   // The capturing run counts as a trial too (no restore).
   EXPECT_EQ(stats.trials, static_cast<std::uint64_t>(n) + 1);
+  // Exit-kind ledger: one count per finished run, under its status.
+  EXPECT_EQ(stats.exits, expected_exits);
+  EXPECT_EQ(sum_of(stats.exits), stats.trials);
+  EXPECT_GT(stats.exits[static_cast<std::size_t>(vm::ExitStatus::kDetected)],
+            0u);
   EXPECT_EQ(stats.restores, expected_restores);
   EXPECT_GT(expected_restores, 0u);  // late sites genuinely restored
   EXPECT_LT(expected_restores, static_cast<std::uint64_t>(n));  // ckpt-0 fell through
@@ -340,6 +358,11 @@ TEST(Engine, FastForwardStatsAccounting) {
   EXPECT_EQ(batched.post_fault_steps, stats.post_fault_steps);
   EXPECT_EQ(batched.unrejoined_halts, stats.unrejoined_halts);
   EXPECT_EQ(batched.unrejoined_halt_steps, stats.unrejoined_halt_steps);
+  // Every lane counts one exit: the scalar trials' exits, less the
+  // golden run's.
+  EXPECT_EQ(sum_of(batched.exits), batched.trials);
+  expected_exits[static_cast<std::size_t>(vm::ExitStatus::kOk)] -= 1;
+  EXPECT_EQ(batched.exits, expected_exits);
 }
 
 TEST(Engine, TrialCostLedgerLandsInWallclockOnly) {
@@ -365,6 +388,25 @@ TEST(Engine, TrialCostLedgerLandsInWallclockOnly) {
   EXPECT_LE(field("unrejoined_halt_steps"), field("post_fault_steps"));
   EXPECT_LE(field("unrejoined_halts"), field("trials"));
   EXPECT_EQ(telemetry::to_json(result).dump().find("prefix_steps"),
+            std::string::npos);
+
+  // The exit-kind ledger: every status present, summing to the trials,
+  // and its detections are the campaign's detected outcomes (the worker
+  // engines run only the trials; the golden run is not merged).
+  const telemetry::Json* exits = ckpt->find("exits");
+  ASSERT_NE(exits, nullptr);
+  std::uint64_t exit_total = 0;
+  for (int s = 0; s < vm::kExitStatusCount; ++s) {
+    const telemetry::Json* count =
+        exits->find(vm::exit_status_name(static_cast<vm::ExitStatus>(s)));
+    ASSERT_NE(count, nullptr) << s;
+    exit_total += count->as_uint();
+  }
+  EXPECT_EQ(exit_total, field("trials"));
+  EXPECT_EQ(exits->find("detected")->as_uint(),
+            static_cast<std::uint64_t>(result.count(fault::Outcome::kDetected)));
+  EXPECT_GT(exits->find("detected")->as_uint(), 0u);
+  EXPECT_EQ(telemetry::to_json(result).dump().find("\"exits\""),
             std::string::npos);
 }
 
@@ -680,29 +722,147 @@ TEST(Engine, BranchIntoFusedPairSecondHalfDispatchesSingly) {
   expect_same_result(a, vm::run(program, th), "fused branch target");
 }
 
+/// Six instructions — both fused pairs among them, the cmp+jcc with its
+/// branch not taken — then a detection: a run ends kDetected after 7
+/// steps and 6 FI sites. A fault that takes the branch halts cleanly
+/// with %rax as the return value instead.
+constexpr const char* kDetectAfterSixAsm = R"(
+main:
+.entry:
+	movq	$3, %rax
+	movq	$4, %rcx
+	addq	%rcx, %rax
+	cmpq	$7, %rax
+	jne	.escape
+	movq	$1, %rdx
+	call	__ferrum_detect
+	ret
+.escape:
+	ret
+)";
+constexpr std::uint64_t kStepsBeforeDetect = 6;
+
 TEST(Engine, StepBudgetSweepAgreesAcrossDispatchModes) {
   // Exhaust max_steps at every possible position — including between the
   // halves of a fused pair — and require both loops to trap at the same
   // step with the same partial state. A fused implementation that checks
   // the budget once per pair instead of once per instruction fails here.
+  // The detecting program puts the budget on the detect step itself: a
+  // budget that does not cover it traps kTrapSteps, one that does ends
+  // in the detection.
+  struct Input {
+    const char* text;
+    vm::ExitStatus end;
+  };
+  for (const Input& input :
+       {Input{kFusedBranchTargetAsm, vm::ExitStatus::kOk},
+        Input{kDetectAfterSixAsm, vm::ExitStatus::kDetected}}) {
+    DiagEngine diags;
+    const masm::AsmProgram program = masm::parse_program(input.text, diags);
+    ASSERT_FALSE(diags.has_errors()) << diags.render();
+    const vm::VmResult golden = vm::run(program);
+    ASSERT_EQ(golden.status, input.end);
+    for (std::uint64_t budget = 1; budget <= golden.steps + 1; ++budget) {
+      vm::VmOptions sw;
+      sw.dispatch = vm::DispatchMode::kSwitch;
+      sw.max_steps = budget;
+      const vm::VmResult a = vm::run(program, sw);
+      vm::VmOptions th = sw;
+      th.dispatch = vm::DispatchMode::kThreaded;
+      const vm::VmResult b = vm::run(program, th);
+      EXPECT_EQ(a.status, b.status) << "budget " << budget;
+      EXPECT_EQ(a.steps, b.steps) << "budget " << budget;
+      EXPECT_EQ(a.fi_sites, b.fi_sites) << "budget " << budget;
+      EXPECT_EQ(budget >= golden.steps ? input.end
+                                       : vm::ExitStatus::kTrapSteps,
+                a.status)
+          << "budget " << budget;
+    }
+  }
+}
+
+TEST(Engine, DetectionEndsTheRunWithCountsTracesAndProfileIntact) {
+  // A detection ends the run with the step counted, profiled and traced
+  // but never timed, and no return value — under either dispatch mode
+  // (introspection runs the switch loop; the bare run takes the mode's).
   DiagEngine diags;
   const masm::AsmProgram program =
-      masm::parse_program(kFusedBranchTargetAsm, diags);
+      masm::parse_program(kDetectAfterSixAsm, diags);
   ASSERT_FALSE(diags.has_errors()) << diags.render();
-  const vm::VmResult golden = vm::run(program);
-  ASSERT_TRUE(golden.ok());
-  for (std::uint64_t budget = 1; budget <= golden.steps + 1; ++budget) {
-    vm::VmOptions sw;
-    sw.dispatch = vm::DispatchMode::kSwitch;
-    sw.max_steps = budget;
-    const vm::VmResult a = vm::run(program, sw);
-    vm::VmOptions th = sw;
-    th.dispatch = vm::DispatchMode::kThreaded;
-    const vm::VmResult b = vm::run(program, th);
-    EXPECT_EQ(a.status, b.status) << "budget " << budget;
-    EXPECT_EQ(a.steps, b.steps) << "budget " << budget;
-    EXPECT_EQ(a.fi_sites, b.fi_sites) << "budget " << budget;
-    EXPECT_EQ(budget >= golden.steps, a.ok()) << "budget " << budget;
+  constexpr std::uint64_t k = kStepsBeforeDetect;
+  for (vm::DispatchMode mode :
+       {vm::DispatchMode::kSwitch, vm::DispatchMode::kThreaded}) {
+    vm::VmOptions options;
+    options.dispatch = mode;
+    const vm::VmResult bare = vm::run(program, options);
+    EXPECT_EQ(bare.status, vm::ExitStatus::kDetected);
+    EXPECT_EQ(bare.steps, k + 1);
+    EXPECT_EQ(bare.fi_sites, k);
+    EXPECT_EQ(bare.return_value, 0);
+
+    options.profile = true;
+    options.timing = true;
+    options.trace_limit = 100;
+    const vm::VmResult seen = vm::run(program, options);
+    EXPECT_EQ(seen.status, vm::ExitStatus::kDetected);
+    EXPECT_EQ(seen.steps, k + 1);
+    EXPECT_EQ(seen.return_value, 0);
+    ASSERT_TRUE(seen.profile.has_value());
+    EXPECT_EQ(seen.profile->op_counts[static_cast<std::size_t>(
+                  masm::Op::kDetectTrap)],
+              1u);
+    EXPECT_EQ(seen.profile->total(), k + 1);
+    ASSERT_TRUE(seen.timing_stats.has_value());
+    EXPECT_EQ(seen.timing_stats->instructions, k);
+    ASSERT_EQ(seen.trace.size(), k + 1);
+    EXPECT_NE(seen.trace.back().find("__ferrum_detect"), std::string::npos);
+  }
+}
+
+TEST(Engine, BatchWalkThatDetectsMatchesScalarRuns) {
+  // No checkpoints: the batch walks the golden stream cold, and the walk
+  // itself detects before the lanes whose sites lie past the detection
+  // (a campaign never gets here — it rejects a golden run that detects).
+  // Lanes before it fork and run their own suffix; some escape through
+  // the branch and halt. Every lane equals run() with the same faults.
+  DiagEngine diags;
+  const masm::AsmProgram program =
+      masm::parse_program(kDetectAfterSixAsm, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.render();
+  const vm::PredecodedProgram decoded(program);
+  std::vector<vm::FaultSpec> faults;
+  for (std::uint64_t site = 0; site < kStepsBeforeDetect + 3; ++site) {
+    for (int bit : {0, 2, 40}) faults.push_back(vm::FaultSpec{site, bit});
+  }
+  std::vector<vm::Engine::BatchTrial> lanes;
+  for (const vm::FaultSpec& fault : faults) lanes.push_back({&fault, 1});
+  for (vm::DispatchMode mode :
+       {vm::DispatchMode::kSwitch, vm::DispatchMode::kThreaded}) {
+    vm::VmOptions options;
+    options.dispatch = mode;
+    vm::Engine engine(decoded, options);
+    std::vector<vm::VmResult> batched(lanes.size());
+    engine.run_batch(nullptr, options, lanes.data(), lanes.size(),
+                     batched.data());
+    bool escaped = false;
+    ExitCounts exits{};
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const vm::VmResult scalar = vm::run(program, options, &faults[i]);
+      const std::string context = "site " + std::to_string(faults[i].site) +
+                                  " bit " + std::to_string(faults[i].bit);
+      expect_same_result(scalar, batched[i], context);
+      EXPECT_EQ(scalar.rejoined, batched[i].rejoined) << context;
+      EXPECT_EQ(scalar.touched_functions, batched[i].touched_functions)
+          << context;
+      escaped = escaped || scalar.ok();
+      if (faults[i].site >= kStepsBeforeDetect) {
+        EXPECT_EQ(batched[i].status, vm::ExitStatus::kDetected) << context;
+        EXPECT_FALSE(batched[i].fault_injected) << context;
+      }
+      ++exits[static_cast<std::size_t>(batched[i].status)];
+    }
+    EXPECT_TRUE(escaped);
+    EXPECT_EQ(engine.stats().exits, exits);
   }
 }
 

@@ -188,5 +188,82 @@ TEST(Parser, ErrorLocalArrayInitialiser) {
   EXPECT_TRUE(parse_fails("int f() { int a[2] = 1; return 0; }"));
 }
 
+// ------------------------------------------------------ nesting budget --
+
+/// `int f() { int x = 0; <body> return x; }` on one line; the body starts
+/// at column kBodyColumn.
+std::string in_function(const std::string& body) {
+  return "int f() { int x = 0; " + body + " return x; }";
+}
+constexpr int kBodyColumn = 22;
+
+/// `text` repeated `n` times.
+std::string repeat(const std::string& text, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += text;
+  return out;
+}
+
+/// The one diagnostic a nesting overrun leaves, or a failure.
+Diagnostic overrun_of(const std::string& source) {
+  DiagEngine diags;
+  parse(source, diags);
+  EXPECT_EQ(diags.error_count(), 1) << diags.render().substr(0, 400);
+  if (diags.diagnostics().empty()) return {};
+  const Diagnostic& diag = diags.diagnostics().front();
+  EXPECT_NE(diag.message.find("depth budget"), std::string::npos)
+      << diag.message;
+  EXPECT_EQ(diag.loc.line, 1);
+  return diag;
+}
+
+TEST(Parser, DeepNestingIsADiagnosticNotACrash) {
+  // 20,000 parenthesised levels (about 40 KB) overflowed the stack of
+  // the recursive descent. The budget stops the parse at the paren where
+  // it runs out — two units per level, so a few short of level 500 —
+  // with one diagnostic and no cascade of "expected ')'" errors.
+  const std::string parens = in_function(
+      "x = " + std::string(20'000, '(') + "1" + std::string(20'000, ')') + ";");
+  const Diagnostic diag = overrun_of(parens);
+  const int first_paren = kBodyColumn + 4;
+  EXPECT_GT(diag.loc.column, first_paren + 490);
+  EXPECT_LT(diag.loc.column, first_paren + 500);
+  EXPECT_EQ(parens[static_cast<std::size_t>(diag.loc.column - 1)], '(');
+
+  // Every recursive shape spends the same budget.
+  overrun_of(in_function("x = " + std::string(5'000, '-') + "x;"));
+  overrun_of(in_function(repeat("x = ", 5'000) + "1;"));
+  overrun_of(in_function(repeat("(int)", 5'000) + "x;"));
+  overrun_of(in_function(std::string(5'000, '{') + std::string(5'000, '}')));
+  overrun_of(in_function(repeat("if (x) ", 5'000) + "x = 1;"));
+  overrun_of(in_function("x = " + repeat("g(", 5'000) + "1" +
+                         std::string(5'000, ')') + ";"));
+}
+
+TEST(Parser, LongOperatorChainsSpendTheBudgetToo) {
+  // `x + x + ...` and `x[0][0]...` loop in the parser but build a
+  // left-deep tree whose walkers recurse once per operator, so each
+  // operator spends one unit: the overrun lands a little short of the
+  // 1,000th " + x".
+  const std::string sum = in_function("x = x" + repeat(" + x", 5'000) + ";");
+  const Diagnostic diag = overrun_of(sum);
+  const int first_plus = kBodyColumn + 6;
+  EXPECT_GT(diag.loc.column, first_plus + 4 * 990);
+  EXPECT_LT(diag.loc.column, first_plus + 4 * 1'000);
+  overrun_of(in_function("x = x" + repeat("[0]", 5'000) + ";"));
+}
+
+TEST(Parser, NestingWithinTheBudgetParses) {
+  // Far deeper than any real program, still well inside the budget.
+  parse_ok(in_function("x = " + std::string(300, '(') + "1" +
+                       std::string(300, ')') + ";"));
+  parse_ok(in_function("x = " + std::string(600, '-') + "x;"));
+  parse_ok(in_function("x = x" + repeat(" + x", 600) + ";"));
+  parse_ok(in_function(std::string(600, '{') + std::string(600, '}')));
+  // The budget is a depth, not a count: many shallow statements and
+  // expressions in sequence never add up.
+  parse_ok(in_function(repeat("{ x = (x + 1) * -(x - 2); } ", 5'000)));
+}
+
 }  // namespace
 }  // namespace ferrum::minic

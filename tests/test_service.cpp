@@ -772,5 +772,61 @@ TEST(ServiceSocket, RejectsMalformedRequestsButStaysUsable) {
   EXPECT_EQ(streamed, 1u);
 }
 
+TEST(ServiceSocket, DeeplyNestedInputsGetErrorsAndTheDaemonAnswersOn) {
+  // Two inputs that used to kill the daemon with a stack overflow: a
+  // 200 KB frame of nested JSON arrays, and an inline-MiniC cell whose
+  // expression nests 20,000 parentheses deep. Both are now errors on an
+  // open connection, and the daemon answers what comes next.
+  ServedDaemon served(1);
+  std::string error;
+  Conn raw = connect_unix(served.socket_path, &error);
+  ASSERT_TRUE(raw.valid()) << error;
+  const std::string deep_json =
+      std::string(100'000, '[') + std::string(100'000, ']');
+  ASSERT_TRUE(service::write_frame(raw, service::MsgType::kSubmit,
+                                   std::string_view(deep_json)));
+  service::Frame reply;
+  ASSERT_TRUE(service::read_frame(raw, reply));
+  EXPECT_EQ(reply.type, service::MsgType::kError);
+  EXPECT_NE(reply.payload.find("malformed JSON payload"), std::string::npos)
+      << reply.payload;
+  // Same connection, next request.
+  ASSERT_TRUE(service::write_frame(raw, service::MsgType::kHello,
+                                   std::string_view("{}")));
+  ASSERT_TRUE(service::read_frame(raw, reply));
+  EXPECT_EQ(reply.type, service::MsgType::kHelloReply);
+
+  service::Client client =
+      service::Client::connect(served.socket_path, error);
+  ASSERT_TRUE(client.valid()) << error;
+  CampaignCell deep = tiny_cell(20);
+  deep.program = "int main() { int x = " + std::string(20'000, '(') + "1" +
+                 std::string(20'000, ')') + "; print_int(x); return 0; }";
+  const auto deep_job = client.submit({deep, tiny_cell(20)}, error);
+  ASSERT_TRUE(deep_job.has_value()) << error;
+  std::vector<service::CellResult> results;
+  ASSERT_TRUE(client.results(
+      *deep_job, [&](const service::CellResult& r) { results.push_back(r); },
+      error))
+      << error;
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_NE(results[0].error.find("depth budget"), std::string::npos)
+      << results[0].error.substr(0, 400);
+  EXPECT_TRUE(results[1].error.empty()) << results[1].error;
+
+  const auto job = client.submit({tiny_cell(25)}, error);
+  ASSERT_TRUE(job.has_value()) << error;
+  std::size_t answered = 0;
+  EXPECT_TRUE(client.results(
+      *job,
+      [&](const service::CellResult& r) {
+        EXPECT_TRUE(r.error.empty()) << r.error;
+        ++answered;
+      },
+      error))
+      << error;
+  EXPECT_EQ(answered, 1u);
+}
+
 }  // namespace
 }  // namespace ferrum

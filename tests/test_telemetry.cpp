@@ -77,6 +77,42 @@ TEST(Json, ParseRejectsGarbage) {
                   .has_value());
 }
 
+/// `depth` arrays nested in one another, innermost holding `leaf`.
+std::string nested_arrays(int depth, const std::string& leaf = "") {
+  return std::string(static_cast<std::size_t>(depth), '[') + leaf +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(Json, NestingIsBoundedAtMaxDepth) {
+  // The parser recurses once per level, so nesting is capped: the limit
+  // parses, one more level fails cleanly, and a 200 KB frame of nested
+  // brackets (which overflowed the stack before the cap) fails the same
+  // way instead of crashing.
+  const auto at_limit = Json::parse(nested_arrays(Json::kMaxDepth, "7"));
+  ASSERT_TRUE(at_limit.has_value());
+  const Json* leaf = &*at_limit;
+  for (int level = 0; level < Json::kMaxDepth; ++level) {
+    ASSERT_EQ(leaf->kind(), Json::Kind::kArray);
+    ASSERT_EQ(leaf->size(), 1u);
+    leaf = &leaf->items().front();
+  }
+  EXPECT_EQ(leaf->as_int(), 7);
+  EXPECT_FALSE(Json::parse(nested_arrays(Json::kMaxDepth + 1)).has_value());
+  EXPECT_FALSE(Json::parse(nested_arrays(100'000)).has_value());
+
+  // Objects and arrays count alike: each {"k":[...]} pair is two levels.
+  const auto object_pairs = [](int pairs) {
+    std::string text;
+    for (int i = 0; i < pairs; ++i) text += "{\"k\":[";
+    for (int i = 0; i < pairs; ++i) text += "]}";
+    return text;
+  };
+  static_assert(Json::kMaxDepth % 2 == 0);
+  EXPECT_TRUE(Json::parse(object_pairs(Json::kMaxDepth / 2)).has_value());
+  EXPECT_FALSE(
+      Json::parse("[" + object_pairs(Json::kMaxDepth / 2) + "]").has_value());
+}
+
 // -------------------------------------------------------------- metrics
 
 TEST(Metrics, HistogramBucketsByBitWidth) {
