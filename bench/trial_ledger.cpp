@@ -8,7 +8,8 @@
 // cold start up to the faulting instruction) and post-fault steps, the
 // split the engine's FastForwardStats ledger keeps (cross-checked here).
 // Each cell also times its golden run twice, plain and capturing the
-// checkpoints, since capture is paid once per campaign before any trial.
+// checkpoints, since capture is paid once per campaign before any trial;
+// capture_steps_per_second is golden steps over capture seconds.
 //
 // Knobs: FERRUM_TRIALS (default 1000), FERRUM_SCALE (default 1),
 // FERRUM_CKPT_STRIDE (default 64; 0 also means 64). Outcome counts go to
@@ -63,10 +64,12 @@ struct Ledger {
   std::array<std::uint64_t, kBucketCount> post_fault_steps{};
   double golden_seconds = 0.0;
   double capture_seconds = 0.0;
+  std::uint64_t golden_steps = 0;
 
   void add(const Ledger& other) {
     golden_seconds += other.golden_seconds;
     capture_seconds += other.capture_seconds;
+    golden_steps += other.golden_steps;
     for (int b = 0; b < kBucketCount; ++b) {
       trials[b] += other.trials[b];
       seconds[b] += other.seconds[b];
@@ -103,6 +106,7 @@ bool run_cell(const masm::AsmProgram& program, int trials, int stride,
       options, static_cast<std::uint64_t>(stride), ckpts);
   ledger.capture_seconds = seconds_since(start);
   if (!plain.ok() || !golden.ok()) return false;
+  ledger.golden_steps = golden.steps;
   options.max_steps = fault::faulty_step_budget(golden.steps);
   vm::Engine engine(decoded, options);
 
@@ -153,6 +157,10 @@ telemetry::Json ledger_json(const Ledger& ledger) {
   json["seconds"] = total;
   json["golden_seconds"] = ledger.golden_seconds;
   json["capture_seconds"] = ledger.capture_seconds;
+  json["capture_steps_per_second"] =
+      ledger.capture_seconds > 0.0
+          ? static_cast<double>(ledger.golden_steps) / ledger.capture_seconds
+          : 0.0;
   return json;
 }
 

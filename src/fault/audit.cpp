@@ -221,9 +221,7 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  report.ckpt.stride = fast_forward ? static_cast<int>(ckpts.stride()) : 0;
-  report.ckpt.checkpoints = ckpts.size();
-  report.ckpt.snapshot_bytes = ckpts.snapshot_bytes();
+  report.ckpt.describe(ckpts, fast_forward);
   for (const auto& engine : engines) {
     if (engine != nullptr) report.ckpt.ff.merge(engine->stats());
   }
@@ -476,9 +474,7 @@ AuditReport audit_program(const masm::AsmProgram& program,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  report.ckpt.stride = fast_forward ? static_cast<int>(ckpts.stride()) : 0;
-  report.ckpt.checkpoints = ckpts.size();
-  report.ckpt.snapshot_bytes = ckpts.snapshot_bytes();
+  report.ckpt.describe(ckpts, fast_forward);
   for (const auto& engine : engines) {
     if (engine != nullptr) report.ckpt.ff.merge(engine->stats());
   }

@@ -275,9 +275,7 @@ CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  result.ckpt.stride = fast_forward ? static_cast<int>(ckpts.stride()) : 0;
-  result.ckpt.checkpoints = ckpts.size();
-  result.ckpt.snapshot_bytes = ckpts.snapshot_bytes();
+  result.ckpt.describe(ckpts, fast_forward);
   for (const auto& engine : engines) {
     if (engine != nullptr) result.ckpt.ff.merge(engine->stats());
   }
@@ -523,10 +521,7 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  result.ckpt.stride =
-      fast_forward ? static_cast<int>(ckpts.stride()) : 0;
-  result.ckpt.checkpoints = ckpts.size();
-  result.ckpt.snapshot_bytes = ckpts.snapshot_bytes();
+  result.ckpt.describe(ckpts, fast_forward);
   // Unordered uint64 sums over the worker engines — deterministic for a
   // fixed stride even though worker-chunk assignment is not.
   for (const auto& engine : engines) {

@@ -268,6 +268,10 @@ std::shared_ptr<const SharedProgramState> Daemon::program_state(
     throw;
   }
   metrics_.counter("service/golden/built").add(1);
+  // Golden states live as long as the daemon, so their checkpoint bytes
+  // only accumulate.
+  metrics_.counter("service/golden/snapshot_bytes")
+      .add(state->prepared.ckpts.snapshot_bytes());
   std::lock_guard<std::mutex> lock(prepared_mutex_);
   preparing_.erase(key);
   prepared_.emplace(key, state);

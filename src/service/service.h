@@ -153,7 +153,8 @@ class Daemon {
       const fault::CampaignCell& cell, const std::string& source);
 
   /// The shared golden state for (program hash, store_data). One caller
-  /// builds it (counter "service/golden/built"); concurrent requests for
+  /// builds it (counter "service/golden/built", its checkpoint bytes
+  /// summed in "service/golden/snapshot_bytes"); concurrent requests for
   /// the same key wait on the build instead of redoing the golden walk,
   /// and later cells reuse it ("service/golden/reused").
   std::shared_ptr<const SharedProgramState> program_state(

@@ -25,6 +25,8 @@ Json ckpt_json(const vm::CheckpointTelemetry& ckpt) {
   json["stride"] = ckpt.stride;
   json["checkpoints"] = ckpt.checkpoints;
   json["snapshot_bytes"] = ckpt.snapshot_bytes;
+  json["page_bytes"] = ckpt.page_bytes;
+  json["table_bytes"] = ckpt.table_bytes;
   json["trials"] = ckpt.ff.trials;
   json["restores"] = ckpt.ff.restores;
   json["steps_skipped"] = ckpt.ff.steps_skipped;
@@ -45,6 +47,11 @@ Json ckpt_json(const vm::CheckpointTelemetry& ckpt) {
   json["post_fault_steps"] = ckpt.ff.post_fault_steps;
   json["unrejoined_halts"] = ckpt.ff.unrejoined_halts;
   json["unrejoined_halt_steps"] = ckpt.ff.unrejoined_halt_steps;
+  // Checkpoint traffic: bytes restores copied or zeroed, and the rejoin
+  // comparisons with the page bytes they checked.
+  json["restore_bytes"] = ckpt.ff.restore_bytes;
+  json["compares"] = ckpt.ff.compares;
+  json["compare_bytes"] = ckpt.ff.compare_bytes;
   // Exit-kind ledger: finished runs by how they ended (sums to trials).
   Json exits = Json::object();
   for (int s = 0; s < vm::kExitStatusCount; ++s) {

@@ -344,10 +344,12 @@ void CheckpointSet::thin() {
   stride_ *= 2;
 }
 
-std::uint64_t CheckpointSet::snapshot_bytes() const {
-  return live_page_bytes_->load(std::memory_order_relaxed) +
-         static_cast<std::uint64_t>(table_entries_) *
-             sizeof(std::shared_ptr<const PageImage>);
+std::uint64_t CheckpointSet::page_bytes() const {
+  return live_page_bytes_->load(std::memory_order_relaxed);
+}
+
+std::uint64_t CheckpointSet::table_bytes() const {
+  return static_cast<std::uint64_t>(table_entries_) * sizeof(PageEntry);
 }
 
 const Checkpoint& CheckpointSet::nearest_at_or_before(
@@ -375,10 +377,10 @@ class Engine::Impl {
       : program_(program),
         code_(program.code().data()),
         memory_(options.memory_bytes),
-        npages_((options.memory_bytes + kCkptPageSize - 1) / kCkptPageSize),
-        current_page_(npages_),
-        dirty_(npages_, 0),
-        journaled_(npages_, 0) {
+        current_page_((options.memory_bytes + kCkptPageSize - 1) /
+                      kCkptPageSize),
+        dirty_(current_page_.size(), 0),
+        journaled_(current_page_.size(), 0) {
     compute_layout();
   }
 
@@ -514,12 +516,13 @@ class Engine::Impl {
     try {
       if (have_ckpts &&
           !is_start_state(checkpoints->nearest_at_or_before(lanes[0].site))) {
-        restore_checkpoint(checkpoints->nearest_at_or_before(lanes[0].site));
+        restore_checkpoint(checkpoints->nearest_at_or_before(lanes[0].site),
+                           stats);
       } else {
         // No checkpoints, or the nearest one is checkpoint 0 — whose
         // state equals the cold start (see run_from): skip the full
         // restore and walk the golden prefix directly.
-        start_cold();
+        start_cold(stats);
       }
     } catch (const Trap& trap) {
       walk_over = true;
@@ -533,7 +536,7 @@ class Engine::Impl {
         // lane's site than the current walk position.
         if (have_ckpts) {
           const Checkpoint& c = checkpoints->nearest_at_or_before(lane.site);
-          if (c.fi_sites > fi_sites_) restore_checkpoint(c);
+          if (c.fi_sites > fi_sites_) restore_checkpoint(c, stats);
         }
         const std::uint64_t walk_start_steps = steps_;
         try {
@@ -631,10 +634,17 @@ class Engine::Impl {
 
   // --------------------------------------------------- page bookkeeping --
 
+  /// Marks page `p` dirty, listing it on its first dirtying.
+  void mark_dirty(std::size_t p) {
+    if (dirty_[p]) return;
+    dirty_[p] = 1;
+    dirty_pages_.push_back(p);
+  }
+
   void mark_dirty_range(std::size_t addr, std::size_t size) {
     const std::size_t first = addr >> kCkptPageBits;
     const std::size_t last = (addr + size - 1) >> kCkptPageBits;
-    for (std::size_t p = first; p <= last; ++p) dirty_[p] = 1;
+    for (std::size_t p = first; p <= last; ++p) mark_dirty(p);
   }
 
   std::size_t page_bytes(std::size_t page) const {
@@ -642,41 +652,84 @@ class Engine::Impl {
     return std::min(kCkptPageSize, memory_.size() - start);
   }
 
-  /// Resets the arena to all-zero by undoing only pages known to differ.
-  void prepare_cold() {
-    for (std::size_t p = 0; p < npages_; ++p) {
-      if (!dirty_[p] && current_page_[p] == nullptr) continue;
-      std::memset(memory_.data() + (p << kCkptPageBits), 0, page_bytes(p));
-      current_page_[p].reset();
-      dirty_[p] = 0;
-    }
+  std::uint8_t* page_data(std::size_t page) {
+    return memory_.data() + (page << kCkptPageBits);
+  }
+  const std::uint8_t* page_data(std::size_t page) const {
+    return memory_.data() + (page << kCkptPageBits);
   }
 
-  /// Resets the arena to a checkpoint's memory image. Pages whose current
-  /// content provably equals the target (same PageImage, not dirtied) are
-  /// skipped — the per-trial cost is the *diff*, not the arena size.
-  void prepare_from(const Checkpoint& checkpoint) {
-    for (std::size_t p = 0; p < npages_; ++p) {
-      const auto& desired = checkpoint.pages[p];
-      if (!dirty_[p] && current_page_[p].get() == desired.get()) continue;
-      if (desired == nullptr) {
-        std::memset(memory_.data() + (p << kCkptPageBits), 0, page_bytes(p));
-      } else {
-        std::memcpy(memory_.data() + (p << kCkptPageBits), desired->bytes,
-                    page_bytes(p));
-      }
-      current_page_[p] = desired;
+  /// Whether checkpoint `c`'s sparse table holds page `p`.
+  static bool holds_page(const Checkpoint& c, std::size_t p) {
+    const auto it = std::lower_bound(
+        c.pages.begin(), c.pages.end(), p,
+        [](const PageEntry& e, std::size_t q) { return e.page < q; });
+    return it != c.pages.end() && it->page == p;
+  }
+
+  /// Zeroes every dirty page and clears the dirty list; returns the bytes
+  /// written.
+  std::uint64_t zero_dirty_pages() {
+    std::uint64_t bytes = 0;
+    for (std::size_t p : dirty_pages_) {
+      if (!dirty_[p]) continue;
+      std::memset(page_data(p), 0, page_bytes(p));
+      bytes += page_bytes(p);
       dirty_[p] = 0;
     }
+    dirty_pages_.clear();
+    return bytes;
+  }
+
+  /// Resets the arena to all-zero by undoing only pages known to differ:
+  /// the dirty pages and the pages with provenance.
+  void prepare_cold(FastForwardStats& stats) {
+    for (std::size_t p : provenance_pages_) {
+      current_page_[p].reset();
+      mark_dirty(p);
+    }
+    provenance_pages_.clear();
+    stats.restore_bytes += zero_dirty_pages();
+  }
+
+  /// Resets the arena to a checkpoint's memory image. Only the dirty
+  /// pages, the pages with provenance and the checkpoint's own entries
+  /// can differ from it; of those, pages whose current content provably
+  /// equals the target (same PageImage, not dirtied) are skipped, so the
+  /// per-trial cost is the *diff*, not the arena size.
+  void prepare_from(const Checkpoint& checkpoint, FastForwardStats& stats) {
+    // A page with provenance that the target does not hold must end
+    // all-zero: drop its provenance and let the dirty walk zero it.
+    for (std::size_t p : provenance_pages_) {
+      if (holds_page(checkpoint, p)) continue;
+      current_page_[p].reset();
+      mark_dirty(p);
+    }
+    provenance_pages_.clear();
+    for (const PageEntry& entry : checkpoint.pages) {
+      const std::size_t p = entry.page;
+      provenance_pages_.push_back(p);
+      if (!dirty_[p] && current_page_[p] == entry.image) continue;
+      std::memcpy(page_data(p), entry.image->bytes, page_bytes(p));
+      stats.restore_bytes += page_bytes(p);
+      current_page_[p] = entry.image;
+      dirty_[p] = 0;
+    }
+    // Dirty pages the target does not hold.
+    stats.restore_bytes += zero_dirty_pages();
   }
 
   void do_capture(CheckpointSet& out) {
-    for (std::size_t p = 0; p < npages_; ++p) {
-      if (!dirty_[p]) continue;
-      current_page_[p] =
-          out.make_page(memory_.data() + (p << kCkptPageBits), page_bytes(p));
+    for (std::size_t p : dirty_pages_) {
+      if (current_page_[p] == nullptr) {
+        provenance_pages_.insert(std::upper_bound(provenance_pages_.begin(),
+                                                  provenance_pages_.end(), p),
+                                 p);
+      }
+      current_page_[p] = out.make_page(page_data(p), page_bytes(p));
       dirty_[p] = 0;
     }
+    dirty_pages_.clear();
     Checkpoint ck;
     ck.pc = pc_;
     ck.steps = steps_;
@@ -688,7 +741,10 @@ class Engine::Impl {
     ck.of = flags_.of;
     ck.cf = flags_.cf;
     ck.output = output_;
-    ck.pages = current_page_;
+    ck.pages.reserve(provenance_pages_.size());
+    for (std::size_t p : provenance_pages_) {
+      ck.pages.push_back(PageEntry{p, current_page_[p]});
+    }
     out.add(std::move(ck));
     // Thinning inside add() may have doubled the stride and dropped the
     // freshly added checkpoint; follow whatever survived.
@@ -749,8 +805,7 @@ class Engine::Impl {
     } else {
       image = std::make_unique<PageImage>();
     }
-    std::memcpy(image->bytes, memory_.data() + (p << kCkptPageBits),
-                page_bytes(p));
+    std::memcpy(image->bytes, page_data(p), page_bytes(p));
     journal_.emplace_back(p, std::move(image));
   }
 
@@ -759,8 +814,8 @@ class Engine::Impl {
   /// simply restores those pages from provenance again.
   void journal_restore() {
     for (auto& entry : journal_) {
-      std::memcpy(memory_.data() + (entry.first << kCkptPageBits),
-                  entry.second->bytes, page_bytes(entry.first));
+      std::memcpy(page_data(entry.first), entry.second->bytes,
+                  page_bytes(entry.first));
       journaled_[entry.first] = 0;
       journal_pool_.push_back(std::move(entry.second));
     }
@@ -785,7 +840,7 @@ class Engine::Impl {
     journaling_ = true;
     result = VmResult{};
     try {
-      result.status = run_loop_to_completion(*options_, nullptr);
+      result.status = run_loop_to_completion(*options_, nullptr, stats);
     } catch (const Trap& trap) {
       result.status = trap.status;
     }
@@ -833,8 +888,8 @@ class Engine::Impl {
   // ------------------------------------------------------------- run --
 
   /// Restores architectural state, counters and memory to a checkpoint.
-  void restore_checkpoint(const Checkpoint& resume) {
-    prepare_from(resume);
+  void restore_checkpoint(const Checkpoint& resume, FastForwardStats& stats) {
+    prepare_from(resume, stats);
     std::memcpy(gpr_, resume.gpr, sizeof(gpr_));
     std::memcpy(xmm_, resume.xmm, sizeof(xmm_));
     flags_.zf = resume.zf;
@@ -850,8 +905,8 @@ class Engine::Impl {
   /// Cold start: zeroed arena/registers, globals written, stack + exit
   /// sentinel set up, pc at main's entry. Throws the historical traps
   /// for oversized globals and missing main.
-  void start_cold() {
-    prepare_cold();
+  void start_cold(FastForwardStats& stats) {
+    prepare_cold(stats);
     std::memset(gpr_, 0, sizeof(gpr_));
     std::memset(xmm_, 0, sizeof(xmm_));
     flags_ = Flags{};
@@ -920,11 +975,14 @@ class Engine::Impl {
   /// State comparison against a golden checkpoint, taken at the same
   /// inter-instruction position capture used: exact for everything but
   /// the GPR bytes no instruction can read. Memory is compared as a
-  /// diff: pages whose provenance pointer already equals the golden
-  /// page (and were not dirtied since) are skipped without touching
-  /// their bytes — consecutive checkpoints share unchanged PageImages,
-  /// so the byte-compared set is roughly the trial's write footprint.
-  bool state_matches(const Checkpoint& b) const {
+  /// diff over the only pages that can differ — the golden entries, the
+  /// pages with provenance and the dirty pages. Pages whose provenance
+  /// pointer already equals the golden page (and were not dirtied
+  /// since) are skipped without touching their bytes — consecutive
+  /// checkpoints share unchanged PageImages, so the byte-compared set is
+  /// roughly the trial's write footprint.
+  bool state_matches(const Checkpoint& b, FastForwardStats& stats) const {
+    stats.compares += 1;
     if (pc_ != b.pc || steps_ != b.steps || fi_sites_ != b.fi_sites) {
       return false;
     }
@@ -941,13 +999,23 @@ class Engine::Impl {
     }
     if (std::memcmp(xmm_, b.xmm, sizeof(xmm_)) != 0) return false;
     if (output_ != b.output) return false;
+    const auto same_bytes = [&](std::size_t p, const PageImage& want) {
+      stats.compare_bytes += page_bytes(p);
+      return std::memcmp(page_data(p), want.bytes, page_bytes(p)) == 0;
+    };
+    for (const PageEntry& entry : b.pages) {
+      const std::size_t p = entry.page;
+      if (!dirty_[p] && current_page_[p] == entry.image) continue;
+      if (!same_bytes(p, *entry.image)) return false;
+    }
+    // Pages the golden table does not hold are all-zero there.
     static const PageImage kZeroPage = {};
-    for (std::size_t p = 0; p < npages_; ++p) {
-      const PageImage* golden = b.pages[p].get();
-      if (!dirty_[p] && current_page_[p].get() == golden) continue;
-      const std::uint8_t* want = golden ? golden->bytes : kZeroPage.bytes;
-      if (std::memcmp(memory_.data() + (p << kCkptPageBits), want,
-                      page_bytes(p)) != 0) {
+    for (std::size_t p : provenance_pages_) {
+      if (!holds_page(b, p) && !same_bytes(p, kZeroPage)) return false;
+    }
+    for (std::size_t p : dirty_pages_) {
+      if (current_page_[p] == nullptr && !holds_page(b, p) &&
+          !same_bytes(p, kZeroPage)) {
         return false;
       }
     }
@@ -984,7 +1052,8 @@ class Engine::Impl {
   /// halt (or an adopted golden tail), otherwise the trap the loop
   /// raised. Traps raised inside helpers propagate as Trap.
   ExitStatus run_loop_to_completion(const VmOptions& options,
-                                    CheckpointSet* capture) {
+                                    CheckpointSet* capture,
+                                    FastForwardStats& stats) {
     const bool threaded = use_threaded_loop(options, capture);
     if (can_rejoin(options)) {
       // Once every sampled fault has fired (fi_sites_ has passed the
@@ -1002,7 +1071,7 @@ class Engine::Impl {
         if (b == nullptr) break;  // past the last boundary — run it out
         const LoopExit exit = run_loop(capture, b->fi_sites, threaded);
         if (exit.kind != LoopExit::kPaused) return exit.status;
-        if (state_matches(*b)) {
+        if (state_matches(*b, stats)) {
           rejoin_site_ = b->fi_sites;
           adopt_golden_tail(rejoin_->summary());
           return ExitStatus::kOk;
@@ -1051,15 +1120,15 @@ class Engine::Impl {
     VmResult result;
     try {
       if (resume != nullptr) {
-        restore_checkpoint(*resume);
+        restore_checkpoint(*resume, stats);
       } else {
-        start_cold();
+        start_cold(stats);
         if (capture != nullptr) {
           next_capture_at_ = 0;  // checkpoint 0 right at the start
           do_capture(*capture);
         }
       }
-      result.status = run_loop_to_completion(options, capture);
+      result.status = run_loop_to_completion(options, capture, stats);
     } catch (const Trap& trap) {
       result.status = trap.status;
     }
@@ -1174,8 +1243,8 @@ class Engine::Impl {
                            (static_cast<std::uint64_t>(size) << 56) ^ value);
     }
     std::memcpy(memory_.data() + addr, &value, static_cast<std::size_t>(size));
-    dirty_[first] = 1;
-    if (last != first) dirty_[last] = 1;
+    mark_dirty(first);
+    if (last != first) mark_dirty(last);
   }
 
   void push64(std::uint64_t value) {
@@ -2118,12 +2187,17 @@ class Engine::Impl {
   const DecodedInst* code_;
 
   Arena memory_;
-  const std::size_t npages_;
   /// Provenance per page: the checkpoint PageImage the page's content
   /// last equalled (null = all-zero), valid when dirty_ is clear. Held
-  /// as shared_ptr so thinned-away checkpoints cannot dangle it.
+  /// as shared_ptr so thinned-away checkpoints cannot dangle it, and so
+  /// a freed image's address cannot be reused and falsely match.
   std::vector<std::shared_ptr<const PageImage>> current_page_;
+  /// The pages with non-null provenance, ascending.
+  std::vector<std::size_t> provenance_pages_;
+  /// Per-page dirty flag, and the dirty pages in order of first dirtying
+  /// since the last restore or capture (exactly the flagged pages).
   std::vector<std::uint8_t> dirty_;
+  std::vector<std::size_t> dirty_pages_;
   /// Copy-on-first-write journal of a batched lane's suffix (see
   /// run_suffix): per-page saved flag, saved pre-images, and a buffer
   /// pool so steady-state batching allocates nothing.

@@ -11,10 +11,14 @@
 //  * CheckpointSet — VM snapshots captured during the golden profiling
 //    run every `stride` dynamic fault-injection sites: registers, flags,
 //    control position, steps/site counters, output prefix, and memory as
-//    copy-on-write 16 KiB pages (only pages dirtied since the previous
-//    checkpoint are copied, never the full arena). A faulty trial
-//    restores the nearest checkpoint at-or-before its first fault site
-//    and executes only the suffix.
+//    a sparse table of copy-on-write 4 KiB pages (one entry per page
+//    written since the cold start; only pages dirtied since the previous
+//    checkpoint are copied). The engine keeps the pages dirtied since
+//    its last restore or capture and the pages with provenance as lists,
+//    so capture, restore and the rejoin compare walk those lists and the
+//    target's entries, never the whole arena. A faulty trial restores
+//    the nearest checkpoint at-or-before its first fault site and
+//    executes only the suffix.
 //
 // Determinism contract (asserted by tests/test_engine.cpp, not just
 // claimed): a fast-forwarded trial is bit-identical to cold execution —
@@ -139,21 +143,30 @@ class PredecodedProgram {
 
 // ---------------------------------------------------------------- pages --
 
-/// Copy-on-write page granularity. 16 KiB keeps the per-checkpoint page
-/// table small (memory_bytes / 16 KiB entries) while page copies stay a
-/// single cheap memcpy.
-constexpr int kCkptPageBits = 14;
+/// Copy-on-write page granularity: 4 KiB, the size the arena is mapped
+/// in. Page tables are sparse, so their size follows the pages a program
+/// wrote rather than memory_bytes / page size, and a smaller page makes
+/// every copy, zero and compare of a touched page move fewer bytes.
+constexpr int kCkptPageBits = 12;
 constexpr std::size_t kCkptPageSize = std::size_t{1} << kCkptPageBits;
 
 struct PageImage {
   std::uint8_t bytes[kCkptPageSize];
 };
 
+/// One entry of a checkpoint's sparse page table.
+struct PageEntry {
+  std::size_t page = 0;
+  std::shared_ptr<const PageImage> image;
+};
+
 /// One golden-run snapshot. Everything the VM needs to resume from an
 /// instruction boundary: architectural state, control position, counters
-/// and the output prefix. Memory is a full page table where entry p is
-/// the page's content at capture time (null = still all-zero); pages not
-/// dirtied between checkpoints share the same PageImage.
+/// and the output prefix. Memory is a sparse page table, ascending by
+/// page index, holding the content at capture time of every page that
+/// has been written since the cold start; a page it does not hold is
+/// all-zero. Pages not dirtied between checkpoints share the same
+/// PageImage.
 struct Checkpoint {
   std::int32_t pc = 0;
   std::uint64_t steps = 0;
@@ -162,7 +175,7 @@ struct Checkpoint {
   std::uint64_t xmm[masm::kXmmCount][4] = {};
   bool zf = false, sf = false, of = false, cf = false;
   std::vector<std::uint64_t> output;
-  std::vector<std::shared_ptr<const PageImage>> pages;
+  std::vector<PageEntry> pages;
 };
 
 /// Final state of the golden (fault-free) run, recorded by
@@ -192,8 +205,12 @@ class CheckpointSet {
   std::size_t size() const { return checkpoints_.size(); }
   /// Effective stride after thinning (>= the requested stride).
   std::uint64_t stride() const { return stride_; }
-  /// Bytes held by live page copies plus the page tables themselves.
-  std::uint64_t snapshot_bytes() const;
+  /// Bytes held by live page copies.
+  std::uint64_t page_bytes() const;
+  /// Bytes held by the live checkpoints' page tables.
+  std::uint64_t table_bytes() const;
+  /// page_bytes() + table_bytes().
+  std::uint64_t snapshot_bytes() const { return page_bytes() + table_bytes(); }
   /// The latest checkpoint with fi_sites <= site (always defined once
   /// capture ran: checkpoint 0 sits at site 0).
   const Checkpoint& nearest_at_or_before(std::uint64_t site) const;
@@ -257,6 +274,13 @@ struct FastForwardStats {
   std::uint64_t post_fault_steps = 0;
   std::uint64_t unrejoined_halts = 0;
   std::uint64_t unrejoined_halt_steps = 0;
+  // Checkpoint traffic: page bytes copied or zeroed by checkpoint
+  // restores and cold starts, rejoin comparisons run, and the page bytes
+  // those comparisons checked byte by byte (pages whose provenance
+  // already equals the golden page are not read).
+  std::uint64_t restore_bytes = 0;
+  std::uint64_t compares = 0;
+  std::uint64_t compare_bytes = 0;
   // Exit-kind ledger: finished runs per ExitStatus, so they sum to
   // trials (count_exit bumps both).
   std::array<std::uint64_t, kExitStatusCount> exits{};
@@ -280,6 +304,9 @@ struct FastForwardStats {
     post_fault_steps += other.post_fault_steps;
     unrejoined_halts += other.unrejoined_halts;
     unrejoined_halt_steps += other.unrejoined_halt_steps;
+    restore_bytes += other.restore_bytes;
+    compares += other.compares;
+    compare_bytes += other.compare_bytes;
     for (std::size_t i = 0; i < exits.size(); ++i) exits[i] += other.exits[i];
   }
   /// Fraction of would-be-cold work skipped: skipped / (skipped + executed).
@@ -297,8 +324,20 @@ struct CheckpointTelemetry {
   /// disabled or the run needed the full prefix for timing/profiling).
   int stride = 0;
   std::uint64_t checkpoints = 0;
+  /// CheckpointSet::page_bytes / table_bytes / snapshot_bytes (their sum).
+  std::uint64_t page_bytes = 0;
+  std::uint64_t table_bytes = 0;
   std::uint64_t snapshot_bytes = 0;
   FastForwardStats ff;
+
+  /// Records `ckpts`' stride (0 unless `fast_forward`), size and bytes.
+  void describe(const CheckpointSet& ckpts, bool fast_forward) {
+    stride = fast_forward ? static_cast<int>(ckpts.stride()) : 0;
+    checkpoints = ckpts.size();
+    page_bytes = ckpts.page_bytes();
+    table_bytes = ckpts.table_bytes();
+    snapshot_bytes = ckpts.snapshot_bytes();
+  }
 };
 
 /// Reusable interpreter scratch: one arena + register file, reset between

@@ -338,6 +338,14 @@ TEST(Engine, FastForwardStatsAccounting) {
   EXPECT_LE(stats.unrejoined_halts, static_cast<std::uint64_t>(n));
   EXPECT_LE(stats.unrejoined_halt_steps, stats.post_fault_steps);
 
+  // Checkpoint traffic: every rejoin follows a comparison, and with the
+  // default arena every restore and compare moves whole pages.
+  EXPECT_GE(stats.compares, stats.rejoins);
+  EXPECT_GT(stats.compares, 0u);
+  EXPECT_GT(stats.restore_bytes, 0u);
+  EXPECT_EQ(stats.restore_bytes % vm::kCkptPageSize, 0u);
+  EXPECT_EQ(stats.compare_bytes % vm::kCkptPageSize, 0u);
+
   // The lockstep batch path keeps the same identity, and its post-fault
   // work is the scalar path's: lanes differ only in where the prefix is
   // paid (the shared walk lands in walk_steps, not steps_executed).
@@ -358,6 +366,9 @@ TEST(Engine, FastForwardStatsAccounting) {
   EXPECT_EQ(batched.post_fault_steps, stats.post_fault_steps);
   EXPECT_EQ(batched.unrejoined_halts, stats.unrejoined_halts);
   EXPECT_EQ(batched.unrejoined_halt_steps, stats.unrejoined_halt_steps);
+  EXPECT_GE(batched.compares, batched.rejoins);
+  EXPECT_EQ(batched.restore_bytes % vm::kCkptPageSize, 0u);
+  EXPECT_EQ(batched.compare_bytes % vm::kCkptPageSize, 0u);
   // Every lane counts one exit: the scalar trials' exits, less the
   // golden run's.
   EXPECT_EQ(sum_of(batched.exits), batched.trials);
@@ -389,6 +400,21 @@ TEST(Engine, TrialCostLedgerLandsInWallclockOnly) {
   EXPECT_LE(field("unrejoined_halts"), field("trials"));
   EXPECT_EQ(telemetry::to_json(result).dump().find("prefix_steps"),
             std::string::npos);
+
+  // Checkpoint traffic and the snapshot's byte split.
+  EXPECT_GE(field("compares"), field("rejoins"));
+  EXPECT_GT(field("rejoins"), 0u);
+  EXPECT_GT(field("restore_bytes"), 0u);
+  EXPECT_EQ(field("restore_bytes") % vm::kCkptPageSize, 0u);
+  EXPECT_EQ(field("compare_bytes") % vm::kCkptPageSize, 0u);
+  EXPECT_EQ(field("page_bytes") + field("table_bytes"),
+            field("snapshot_bytes"));
+  EXPECT_GT(field("table_bytes"), 0u);
+  for (const char* key : {"restore_bytes", "compares", "compare_bytes",
+                          "page_bytes", "table_bytes"}) {
+    EXPECT_EQ(telemetry::to_json(result).dump().find(key), std::string::npos)
+        << key;
+  }
 
   // The exit-kind ledger: every status present, summing to the trials,
   // and its detections are the campaign's detected outcomes (the worker
@@ -431,6 +457,22 @@ TEST(Engine, ThinningBoundsLiveCheckpointsDeterministically) {
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.stride(), b.stride());
   EXPECT_EQ(a.snapshot_bytes(), b.snapshot_bytes());
+
+  // Every surviving page table is sparse and well formed: strictly
+  // ascending page indices, no null image.
+  std::size_t seen = 0;
+  for (const vm::Checkpoint* c = &a.nearest_at_or_before(0); c != nullptr;
+       c = a.next_after(c->fi_sites)) {
+    ++seen;
+    for (std::size_t i = 0; i < c->pages.size(); ++i) {
+      EXPECT_NE(c->pages[i].image, nullptr) << "site " << c->fi_sites;
+      if (i > 0) {
+        EXPECT_LT(c->pages[i - 1].page, c->pages[i].page)
+            << "site " << c->fi_sites;
+      }
+    }
+  }
+  EXPECT_EQ(seen, a.size());
 }
 
 TEST(Engine, PredecodeResolvesEveryTargetUpFront) {
@@ -951,6 +993,125 @@ TEST(Engine, GoldenRejoinIsResultExactAndAccounted) {
   EXPECT_EQ(reference.stats().steps_executed + reference.stats().steps_skipped,
             rejoining.stats().steps_executed +
                 rejoining.stats().steps_skipped);
+}
+
+// ------------------------------------------------- pages no table holds --
+
+/// Each iteration stores 7 through one leaq pointer, loads it back
+/// through a second and prints it. A flip of bit 20 in the store
+/// pointer sends that store 1 MiB below the stack, into a page the
+/// golden run never writes and so no checkpoint table holds; the same
+/// flip in the load pointer reads that page.
+constexpr const char* kStrayPageAsm = R"(
+main:
+.entry:
+	movq	$0, %r12
+.loop:
+	leaq	-64(%rsp), %rbx
+	movq	$7, (%rbx)
+	leaq	-64(%rsp), %rcx
+	movq	(%rcx), %rdi
+	call	print_int
+	addq	$1, %r12
+	cmpq	$6, %r12
+	jne	.loop
+	movq	$0, %rax
+	ret
+)";
+
+/// The dynamic sites of the leaq instructions writing `reg`, in order.
+std::vector<std::uint64_t> leaq_sites(const vm::PredecodedProgram& decoded,
+                                      masm::Gpr reg) {
+  vm::VmOptions options;
+  vm::Engine engine(decoded, options);
+  std::vector<std::int32_t> site_pcs;
+  engine.set_site_pc_sink(&site_pcs);
+  engine.run(options, nullptr, 0);
+  engine.set_site_pc_sink(nullptr);
+  std::vector<std::uint64_t> sites;
+  for (std::size_t id = 0; id < site_pcs.size(); ++id) {
+    const masm::AsmInst* inst =
+        decoded.code()[static_cast<std::size_t>(site_pcs[id])].inst;
+    if (inst->op == masm::Op::kLea && inst->ops[1].is_reg() &&
+        inst->ops[1].reg == reg) {
+      sites.push_back(id);
+    }
+  }
+  return sites;
+}
+
+TEST(Engine, DirtyPagesNoCheckpointHoldsAreComparedAndRestored) {
+  // Restore and the rejoin compare walk only the golden table's entries,
+  // the pages with provenance and the dirty pages. A page that no table
+  // holds is covered only by the dirty walk: a compare that skipped it
+  // would rejoin trial A (a false rejoin over a page that is never read
+  // again changes no result field, so the test asserts the flag), and a
+  // restore that skipped it would hand A's stray store to trial B, which
+  // reads that page and must see the zero a cold run sees.
+  DiagEngine diags;
+  const masm::AsmProgram program = masm::parse_program(kStrayPageAsm, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.render();
+  const vm::PredecodedProgram decoded(program);
+  const vm::VmResult golden = vm::run(program);
+  ASSERT_TRUE(golden.ok());
+  ASSERT_EQ(golden.output.size(), 6u);
+
+  vm::VmOptions off;
+  off.max_steps = fault::faulty_step_budget(golden.steps);
+  off.golden_rejoin = false;
+  vm::VmOptions on = off;
+  on.golden_rejoin = true;
+  vm::Engine engine(decoded, on);
+  vm::CheckpointSet ckpts;
+  ASSERT_TRUE(engine.run_capturing(on, 4, ckpts).ok());
+
+  const std::vector<std::uint64_t> stores =
+      leaq_sites(decoded, masm::Gpr::kRbx);
+  const std::vector<std::uint64_t> loads =
+      leaq_sites(decoded, masm::Gpr::kRcx);
+  ASSERT_EQ(stores.size(), 6u);
+  ASSERT_EQ(loads.size(), 6u);
+  const vm::FaultSpec a{stores[1], 20};  // the second iteration's store
+  const vm::FaultSpec b_cold{loads[0], 20};
+  const vm::FaultSpec b_from{loads[3], 20};
+  // The two B trials take the two restore paths: the first load precedes
+  // the first post-start checkpoint (cold start), the fourth does not.
+  ASSERT_EQ(ckpts.nearest_at_or_before(b_cold.site).fi_sites, 0u);
+  ASSERT_GT(ckpts.nearest_at_or_before(b_from.site).fi_sites, 0u);
+  ASSERT_GT(ckpts.nearest_at_or_before(a.site).fi_sites, 0u);
+
+  // A: the stray store leaves the output golden but a page differs from
+  // every later checkpoint, so A never rejoins.
+  const vm::VmResult a_off = engine.run_from(ckpts, off, &a, 1);
+  const vm::VmResult a_on = engine.run_from(ckpts, on, &a, 1);
+  ASSERT_TRUE(a_off.ok());
+  EXPECT_EQ(a_off.output, golden.output);
+  expect_same_result(a_off, a_on, "trial A");
+  EXPECT_FALSE(a_on.rejoined);
+
+  // B after A on the same engine, on each restore path: it reads the
+  // page A wrote, which must be zero again.
+  std::vector<vm::VmResult> scalar = {a_on};
+  for (const vm::FaultSpec& b : {b_cold, b_from}) {
+    engine.run_from(ckpts, on, &a, 1);
+    const vm::VmResult cold = vm::run_multi(program, on, {b});
+    EXPECT_NE(cold.output, golden.output);  // B printed the zero
+    scalar.push_back(engine.run_from(ckpts, on, &b, 1));
+    expect_same_result(cold, scalar.back(),
+                       "trial B at site " + std::to_string(b.site));
+  }
+
+  // The same trials as lanes of one batch equal their scalar runs.
+  const vm::FaultSpec lanes_faults[] = {a, b_cold, b_from};
+  std::vector<vm::Engine::BatchTrial> lanes;
+  for (const vm::FaultSpec& fault : lanes_faults) lanes.push_back({&fault, 1});
+  std::vector<vm::VmResult> batched(lanes.size());
+  engine.run_batch(&ckpts, on, lanes.data(), lanes.size(), batched.data());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const std::string context = "lane " + std::to_string(i);
+    expect_same_result(scalar[i], batched[i], context);
+    EXPECT_EQ(scalar[i].rejoined, batched[i].rejoined) << context;
+  }
 }
 
 // ------------------------------------------------------ rejoin read masks --

@@ -28,6 +28,7 @@
 #include "support/transport.h"
 #include "telemetry/export.h"
 #include "telemetry/json.h"
+#include "workloads/workloads.h"
 
 namespace ferrum {
 namespace {
@@ -565,6 +566,37 @@ TEST(Service, MultiCellJobCompletesWithConsistentStatus) {
   EXPECT_EQ(so_far, expected_trials);
   EXPECT_FALSE(daemon.status(999).known);
   EXPECT_EQ(daemon.wait_cell(job, 99), nullptr);
+}
+
+TEST(Service, StatsCountTheGoldenStatesSnapshotBytes) {
+  // Every golden state the daemon builds stays resident, so the counter
+  // is the summed checkpoint footprint of the programs it has run: the
+  // same bytes fault::PreparedCampaign holds for each at stride 64.
+  service::Daemon daemon({2, ""});
+  CampaignCell bfs;
+  bfs.workload = "bfs";
+  bfs.technique = "none";
+  bfs.trials = 20;
+  const std::uint64_t job = daemon.submit({tiny_cell(), bfs, tiny_cell(30)});
+  for (std::size_t i = 0; i < 3; ++i) {
+    const service::CellOutcome* outcome = daemon.wait_cell(job, i);
+    ASSERT_NE(outcome, nullptr);
+    ASSERT_TRUE(outcome->error.empty()) << outcome->error;
+  }
+  EXPECT_EQ(counter_value(daemon, "service/golden/built"), 2u);
+
+  std::uint64_t expected = 0;
+  const vm::VmOptions golden_options;
+  for (const auto& [source, technique] :
+       {std::pair{std::string(kTinyProgram), pipeline::Technique::kFerrum},
+        std::pair{workloads::scaled("bfs", 1).source,
+                  pipeline::Technique::kNone}}) {
+    const auto build = pipeline::build(source, technique);
+    expected += fault::PreparedCampaign(build.program, golden_options, 64)
+                    .ckpts.snapshot_bytes();
+  }
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(counter_value(daemon, "service/golden/snapshot_bytes"), expected);
 }
 
 TEST(Service, ResultsAreInvariantAcrossWorkersAndSubmissionOrder) {
