@@ -174,8 +174,14 @@ class FunctionLowering {
     for (const auto& arg : fn_.args()) {
       arg_slot_[arg.get()] = allocate_frame(8);
     }
-    for (const ir::Instruction* value : escaping_) {
-      escape_slot_[value] = allocate_frame(8);
+    // Instruction order, not escaping_'s hash order: that set is keyed by
+    // pointer, so its iteration order would follow heap addresses.
+    for (const auto& block : fn_.blocks()) {
+      for (const auto& inst : block->instructions()) {
+        if (escaping_.count(inst.get()) != 0) {
+          escape_slot_[inst.get()] = allocate_frame(8);
+        }
+      }
     }
   }
 
