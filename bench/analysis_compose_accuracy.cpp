@@ -37,7 +37,6 @@ int main() {
   const int trials = benchutil::env_trials();
   const int jobs = benchutil::env_jobs();
   const int ckpt_stride = benchutil::env_ckpt_stride();
-  const int batch = benchutil::env_batch();
   benchutil::BenchReport report("analysis_compose_accuracy");
   report.metrics()["scale"] = scale;
 
@@ -79,7 +78,6 @@ int main() {
       audit_options.probe_bits = probe_bits;
       audit_options.jobs = jobs;
       audit_options.ckpt_stride = ckpt_stride;
-      audit_options.batch = batch;
       audit_options.site_stride = site_stride;
       const fault::AuditReport audit =
           fault::audit_program(build.program, audit_options);
@@ -88,7 +86,6 @@ int main() {
       compose_options.probe_bits = probe_bits;
       compose_options.jobs = jobs;
       compose_options.ckpt_stride = ckpt_stride;
-      compose_options.batch = batch;
       compose_options.site_stride = site_stride;
       const fault::ComposeReport composed =
           fault::compose_audit(build.program, map, compose_options);
@@ -151,7 +148,6 @@ int main() {
       campaign_options.trials = static_cast<std::uint64_t>(trials);
       campaign_options.jobs = jobs;
       campaign_options.ckpt_stride = ckpt_stride;
-      campaign_options.batch = batch;
       campaign_options.lookup =
           [&cache](const std::string& key) -> std::optional<std::string> {
         const auto it = cache.find(key);

@@ -30,7 +30,6 @@
 // larger workloads at scale >= 2.
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -39,9 +38,9 @@
 #include "bench_util.h"
 #include "check/prune.h"
 #include "fault/audit.h"
+#include "fault/executor.h"
 #include "fault/step_budget.h"
 #include "pipeline/pipeline.h"
-#include "support/parallel.h"
 #include "telemetry/export.h"
 #include "vm/engine.h"
 #include "vm/vm.h"
@@ -133,43 +132,25 @@ CellValidation validate_cell(const masm::AsmProgram& program,
 
   vm::VmOptions faulty = options.vm;
   faulty.max_steps = fault::faulty_step_budget(golden.steps);
+  std::vector<vm::FaultSpec> plan(probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    plan[i].site = probes[i].site;
+    plan[i].bit = probes[i].bit;
+  }
   std::vector<std::uint8_t> bad(probes.size(), 0);
-  ThreadPool pool(options.jobs);
-  std::vector<std::unique_ptr<vm::Engine>> engines(
-      static_cast<std::size_t>(pool.workers()));
-  pool.parallel_for_indexed(
-      probes.size(), [&](int worker, std::size_t begin, std::size_t end) {
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty);
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          vm::FaultSpec spec;
-          spec.site = probes[i].site;
-          spec.bit = probes[i].bit;
-          const vm::VmResult run = engine->run_from(ckpts, faulty, &spec, 1);
-          if (probes[i].pilot < 0) {
-            bad[i] = identical_to_golden(run, golden) ? 0 : 1;
-          } else {
-            fault::ProbeOutcome outcome;
-            if (run.status == vm::ExitStatus::kDetected) {
-              outcome = fault::ProbeOutcome::kDetected;
-            } else if (!run.ok()) {
-              outcome = fault::ProbeOutcome::kCrashed;
-            } else if (run.output == golden.output) {
-              outcome = fault::ProbeOutcome::kBenign;
-            } else {
-              outcome = fault::ProbeOutcome::kSdc;
-            }
-            bad[i] = outcome == pruned.prune
-                                    .pilots[static_cast<std::size_t>(
-                                        probes[i].pilot)]
-                                    .outcome
-                         ? 0
-                         : 1;
-          }
-        }
-      });
+  fault::TrialExecutor executor(decoded, ckpts, /*fast_forward=*/true, faulty,
+                                options.jobs);
+  executor.run(plan, [&](std::size_t i, const vm::VmResult& run) {
+    if (probes[i].pilot < 0) {
+      bad[i] = identical_to_golden(run, golden) ? 0 : 1;
+    } else {
+      const auto pilot = static_cast<std::size_t>(probes[i].pilot);
+      bad[i] = fault::probe_outcome(run, golden.output) ==
+                       pruned.prune.pilots[pilot].outcome
+                   ? 0
+                   : 1;
+    }
+  });
   for (std::size_t i = 0; i < probes.size(); ++i) {
     if (bad[i] == 0) continue;
     if (probes[i].pilot < 0) {

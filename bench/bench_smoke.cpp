@@ -188,15 +188,16 @@ void check_flow_accuracy(Json& artifact) {
   }
 }
 
-/// Schema + invariant check on bench_vm's dispatch/batch telemetry: the
-/// wallclock section must carry the per-technique dispatch rates and the
-/// batch-width sweep, and the metrics section must assert that switch vs
-/// threaded dispatch and scalar vs batched campaigns agree exactly.
+/// Schema + invariant check on bench_vm's telemetry: the wallclock
+/// section must carry the per-technique interpreter and campaign rates
+/// and the pruned-audit probe rate, and the metrics section must assert
+/// that the hooked and bare loop instances and the cold and checkpointed
+/// campaigns agree exactly.
 void check_bench_vm(const Json& artifact) {
   const Json* metrics = artifact.find("metrics");
   const Json* wallclock = artifact.find("wallclock");
   if (metrics == nullptr || wallclock == nullptr) return;  // already failed
-  for (const char* section : {"dispatch_equivalent", "campaign_equivalent"}) {
+  for (const char* section : {"hooks_equivalent", "campaign_equivalent"}) {
     const Json* flags = metrics->find(section);
     if (flags == nullptr) {
       fail(std::string("bench_vm metrics lack '") + section + "'");
@@ -208,22 +209,18 @@ void check_bench_vm(const Json& artifact) {
     for (const auto& [technique, flag] : flags->fields()) {
       if (!flag.as_bool()) {
         fail("bench_vm " + std::string(section) + "['" + technique +
-             "'] is false — dispatch/batch paths diverged from the "
-             "reference interpreter");
+             "'] is false — two engine paths diverged");
       }
     }
   }
-  const Json* dispatch = wallclock->find("dispatch");
-  if (dispatch == nullptr || dispatch->fields().empty()) {
-    fail("bench_vm wallclock lacks a populated 'dispatch' section");
+  const Json* interpreter = wallclock->find("interpreter");
+  if (interpreter == nullptr || interpreter->fields().empty()) {
+    fail("bench_vm wallclock lacks a populated 'interpreter' section");
   } else {
-    for (const auto& [technique, row] : dispatch->fields()) {
-      for (const char* key :
-           {"threaded_available", "switch_minst_per_second",
-            "threaded_minst_per_second", "speedup"}) {
-        if (row.find(key) == nullptr) {
-          fail("bench_vm dispatch['" + technique + "'] lacks '" + key + "'");
-        }
+    for (const auto& [technique, row] : interpreter->fields()) {
+      if (row.find("minst_per_second") == nullptr) {
+        fail("bench_vm interpreter['" + technique +
+             "'] lacks 'minst_per_second'");
       }
     }
   }
@@ -232,9 +229,8 @@ void check_bench_vm(const Json& artifact) {
     fail("bench_vm wallclock lacks a populated 'campaign_throughput'");
   } else {
     for (const auto& [technique, row] : campaign->fields()) {
-      for (const char* key :
-           {"cold_trials_per_second", "switch_scalar_trials_per_second",
-            "ckpt_trials_per_second", "speedup_vs_switch_scalar"}) {
+      for (const char* key : {"cold_trials_per_second",
+                              "ckpt_trials_per_second", "speedup"}) {
         if (row.find(key) == nullptr) {
           fail("bench_vm campaign_throughput['" + technique + "'] lacks '" +
                key + "'");
@@ -249,23 +245,10 @@ void check_bench_vm(const Json& artifact) {
       }
     }
   }
-  const Json* batch = wallclock->find("batch");
-  if (batch == nullptr) {
-    fail("bench_vm wallclock lacks a 'batch' section");
-  } else {
-    for (const char* width : {"width1", "width4", "width8"}) {
-      const Json* row = batch->find(width);
-      if (row == nullptr) {
-        fail(std::string("bench_vm batch section lacks '") + width + "'");
-        continue;
-      }
-      for (const char* key : {"trials_per_second", "speedup_vs_width1"}) {
-        if (row->find(key) == nullptr) {
-          fail(std::string("bench_vm batch['") + width + "'] lacks '" +
-               key + "'");
-        }
-      }
-    }
+  const Json* audit = wallclock->find("audit");
+  const Json* ferrum = audit != nullptr ? audit->find("ferrum") : nullptr;
+  if (ferrum == nullptr || ferrum->find("probes_per_second") == nullptr) {
+    fail("bench_vm wallclock lacks audit.ferrum.probes_per_second");
   }
 }
 

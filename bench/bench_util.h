@@ -37,10 +37,6 @@ inline int env_ckpt_stride(int fallback = 64) {
   return ferrum::env_ckpt_stride(fallback);
 }
 
-/// FERRUM_BATCH (see support/env.h). 1 = scalar trials; any width yields
-/// bit-identical results.
-inline int env_batch(int fallback = 8) { return ferrum::env_batch(fallback); }
-
 inline void print_rule(int width = 100) {
   for (int i = 0; i < width; ++i) std::fputc('-', stdout);
   std::fputc('\n', stdout);

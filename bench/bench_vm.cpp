@@ -1,14 +1,16 @@
-// Substrate microbenchmarks: VM interpretation throughput (switch vs
-// threaded dispatch), the cost of enabling the timing model, and campaign
-// trial throughput cold vs checkpointed vs lockstep-batched, per
-// technique. Not a paper experiment, but documents what one
-// fault-injection trial costs — and what the snapshot/fast-forward engine
-// and the threaded/batched inner loop buy back.
+// Substrate microbenchmarks: VM interpretation throughput, the cost of
+// enabling the timing model, campaign trial throughput cold vs
+// checkpointed per technique, and the pruned FERRUM audit's probe rate —
+// the dense plan the shared golden walk exists for. Not a paper
+// experiment, but documents what one fault-injection trial costs and
+// what the snapshot/fast-forward engine buys back.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
 #include "bench_util.h"
+#include "check/prune.h"
+#include "fault/audit.h"
 #include "fault/campaign.h"
 #include "pipeline/pipeline.h"
 #include "telemetry/export.h"
@@ -20,13 +22,11 @@ using pipeline::Technique;
 
 namespace {
 
-void BM_VmRun(benchmark::State& state, Technique technique, bool timing,
-              vm::DispatchMode dispatch = vm::DispatchMode::kAuto) {
+void BM_VmRun(benchmark::State& state, Technique technique, bool timing) {
   const auto& w = workloads::by_name("pathfinder");
   auto build = pipeline::build(w.source, technique);
   vm::VmOptions options;
   options.timing = timing;
-  options.dispatch = dispatch;
   std::uint64_t steps = 0;
   for (auto _ : state) {
     const auto result = vm::run(build.program, options);
@@ -42,16 +42,13 @@ void BM_VmRun(benchmark::State& state, Technique technique, bool timing,
                           state.iterations());
 }
 
-/// Best-of-`reps` Minst/s for one dispatch mode (steady-clock; the
-/// best-of filters scheduler noise on the shared CI machine).
-double minst_per_second(const masm::AsmProgram& program,
-                        vm::DispatchMode dispatch, int reps) {
-  vm::VmOptions options;
-  options.dispatch = dispatch;
+/// Best-of-`reps` functional Minst/s (steady-clock; the best-of filters
+/// scheduler noise on the shared CI machine).
+double minst_per_second(const masm::AsmProgram& program, int reps) {
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    const auto result = vm::run(program, options);
+    const auto result = vm::run(program, vm::VmOptions{});
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -94,140 +91,95 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Dispatch throughput: functional Minst/s under the portable switch
-    // loop vs the computed-goto threaded loop, per technique. The result
-    // equivalence flag goes under `metrics` (it must hold everywhere);
-    // the rates are wall-clock observability.
-    {
-      const bool threaded = vm::threaded_dispatch_available();
-      for (Technique technique : techniques) {
-        auto build = pipeline::build(w.source, technique);
-        vm::VmOptions sw;
-        sw.dispatch = vm::DispatchMode::kSwitch;
-        const auto sw_run = vm::run(build.program, sw);
-        bool equivalent = sw_run.ok();
-        double threaded_rate = 0.0;
-        if (threaded) {
-          vm::VmOptions th;
-          th.dispatch = vm::DispatchMode::kThreaded;
-          const auto th_run = vm::run(build.program, th);
-          equivalent = equivalent && th_run.status == sw_run.status &&
-                       th_run.output == sw_run.output &&
-                       th_run.steps == sw_run.steps &&
-                       th_run.fi_sites == sw_run.fi_sites &&
-                       th_run.return_value == sw_run.return_value;
-          threaded_rate =
-              minst_per_second(build.program, vm::DispatchMode::kThreaded, 3);
-        }
-        const double switch_rate =
-            minst_per_second(build.program, vm::DispatchMode::kSwitch, 3);
-        const char* name = pipeline::technique_name(technique);
-        report.metrics()["dispatch_equivalent"][name] = equivalent;
-        telemetry::Json row = telemetry::Json::object();
-        row["threaded_available"] = threaded;
-        row["switch_minst_per_second"] = switch_rate;
-        row["threaded_minst_per_second"] = threaded_rate;
-        row["speedup"] =
-            switch_rate > 0.0 ? threaded_rate / switch_rate : 0.0;
-        report.wallclock()["dispatch"][name] = row;
-        std::printf("dispatch %-8s switch %7.1f Minst/s   threaded %7.1f "
-                    "Minst/s   speedup %5.2fx\n",
-                    name, switch_rate, threaded_rate,
-                    switch_rate > 0.0 ? threaded_rate / switch_rate : 0.0);
-      }
+    // Interpreter throughput: functional Minst/s per technique. The
+    // hooked loop instance (here profiling) must agree with the bare one
+    // on every result field — asserted under `metrics`; the rates are
+    // wall-clock observability.
+    for (Technique technique : techniques) {
+      auto build = pipeline::build(w.source, technique);
+      const auto bare = vm::run(build.program, vm::VmOptions{});
+      vm::VmOptions hooked_options;
+      hooked_options.profile = true;
+      const auto hooked = vm::run(build.program, hooked_options);
+      const char* name = pipeline::technique_name(technique);
+      report.metrics()["hooks_equivalent"][name] =
+          bare.ok() && hooked.status == bare.status &&
+          hooked.output == bare.output && hooked.steps == bare.steps &&
+          hooked.fi_sites == bare.fi_sites &&
+          hooked.return_value == bare.return_value;
+      const double rate = minst_per_second(build.program, 3);
+      report.wallclock()["interpreter"][name]["minst_per_second"] = rate;
+      std::printf("interpreter %-8s %7.1f Minst/s\n", name, rate);
     }
 
-    // Campaign throughput per technique, three engine configurations:
-    //   cold          stride=0, switch dispatch, scalar — the reference
-    //   switch_scalar checkpointed, switch dispatch, scalar, golden
-    //                 rejoin off — the pre-threading engine (PR 4's
-    //                 "ckpt" row), the speedup baseline
-    //   default       checkpointed, threaded dispatch, FERRUM_BATCH-wide
-    //                 lockstep, golden rejoin — what run_campaign does
-    //                 out of the box
-    // Outcome counts are deterministic and identical on every path
-    // (asserted into `metrics`); trials/sec and speedups are wall-clock.
+    // Campaign throughput per technique, two engine configurations:
+    //   cold     stride=0: every chunk is one golden walk from the cold
+    //            start, without golden rejoin
+    //   default  checkpointed with golden rejoin — what run_campaign
+    //            does out of the box
+    // Outcome counts are deterministic and identical on both (asserted
+    // into `metrics`); trials/sec and speedups are wall-clock.
+    const int trials = benchutil::env_trials(256);
+    const int jobs = benchutil::env_jobs();
+    const int stride_knob = benchutil::env_ckpt_stride();
+    const int stride = stride_knob == 0 ? 64 : stride_knob;
+    for (Technique technique : techniques) {
+      auto build = pipeline::build(w.source, technique);
+      fault::CampaignOptions campaign;
+      campaign.trials = trials;
+      campaign.jobs = jobs;
+      campaign.vm.golden_rejoin = false;
+      campaign.ckpt_stride = 0;
+      const auto cold = fault::run_campaign(build.program, campaign);
+      campaign.vm.golden_rejoin = true;
+      campaign.ckpt_stride = stride;
+      const auto fast = fault::run_campaign(build.program, campaign);
+
+      const char* name = pipeline::technique_name(technique);
+      report.metrics()["campaign"][name] = telemetry::to_json(cold);
+      report.metrics()["campaign_equivalent"][name] =
+          telemetry::to_json(cold).dump() == telemetry::to_json(fast).dump();
+
+      telemetry::Json row = telemetry::Json::object();
+      row["trials"] = trials;
+      const double cold_tps = trials_per_second(cold, trials);
+      const double fast_tps = trials_per_second(fast, trials);
+      row["cold_trials_per_second"] = cold_tps;
+      row["ckpt_trials_per_second"] = fast_tps;
+      row["speedup"] = cold_tps > 0.0 ? fast_tps / cold_tps : 0.0;
+      row["cold"] = telemetry::wallclock_json(cold);
+      row["ckpt"] = telemetry::wallclock_json(fast);
+      report.wallclock()["campaign_throughput"][name] = row;
+      std::printf("campaign %-8s cold %9.1f trials/s   ckpt %9.1f trials/s"
+                  "   speedup %5.2fx\n",
+                  name, cold_tps, fast_tps,
+                  cold_tps > 0.0 ? fast_tps / cold_tps : 0.0);
+    }
+
+    // The pruned FERRUM audit: one pilot probe per (class, bit, stratum)
+    // key, in ascending site order — a dense plan whose probes share
+    // most of their golden prefix, the case the walk's forks exist for.
     {
-      const int trials = benchutil::env_trials(256);
-      const int jobs = benchutil::env_jobs();
-      const int stride_knob = benchutil::env_ckpt_stride();
-      const int stride = stride_knob == 0 ? 64 : stride_knob;
-      const int batch = benchutil::env_batch();
-      for (Technique technique : techniques) {
-        auto build = pipeline::build(w.source, technique);
-        fault::CampaignOptions campaign;
-        campaign.trials = trials;
-        campaign.jobs = jobs;
-        campaign.vm.dispatch = vm::DispatchMode::kSwitch;
-        campaign.vm.golden_rejoin = false;
-        campaign.batch = 1;
-        campaign.ckpt_stride = 0;
-        const auto cold = fault::run_campaign(build.program, campaign);
-        campaign.ckpt_stride = stride;
-        const auto scalar = fault::run_campaign(build.program, campaign);
-        campaign.vm.dispatch = vm::DispatchMode::kAuto;
-        campaign.vm.golden_rejoin = true;
-        campaign.batch = batch;
-        const auto fast = fault::run_campaign(build.program, campaign);
-
-        const char* name = pipeline::technique_name(technique);
-        report.metrics()["campaign"][name] = telemetry::to_json(cold);
-        const std::string cold_dump = telemetry::to_json(cold).dump();
-        report.metrics()["campaign_equivalent"][name] =
-            cold_dump == telemetry::to_json(scalar).dump() &&
-            cold_dump == telemetry::to_json(fast).dump();
-
-        telemetry::Json row = telemetry::Json::object();
-        row["trials"] = trials;
-        row["batch"] = batch;
-        const double cold_tps = trials_per_second(cold, trials);
-        const double scalar_tps = trials_per_second(scalar, trials);
-        const double fast_tps = trials_per_second(fast, trials);
-        row["cold_trials_per_second"] = cold_tps;
-        row["switch_scalar_trials_per_second"] = scalar_tps;
-        row["ckpt_trials_per_second"] = fast_tps;
-        row["speedup"] = cold_tps > 0.0 ? fast_tps / cold_tps : 0.0;
-        row["speedup_vs_switch_scalar"] =
-            scalar_tps > 0.0 ? fast_tps / scalar_tps : 0.0;
-        row["cold"] = telemetry::wallclock_json(cold);
-        row["ckpt"] = telemetry::wallclock_json(fast);
-        report.wallclock()["campaign_throughput"][name] = row;
-        std::printf(
-            "campaign %-8s cold %9.1f trials/s   ckpt+switch %9.1f "
-            "trials/s   ckpt+threaded+batch%d %9.1f trials/s   vs-scalar "
-            "%5.2fx\n",
-            name, cold_tps, scalar_tps, batch, fast_tps,
-            scalar_tps > 0.0 ? fast_tps / scalar_tps : 0.0);
-      }
-
-      // Batch-width sweep on the FERRUM build: trials/s at widths
-      // {1, 4, 8} under the default (threaded) dispatch, all
-      // checkpointed — isolates what lockstep prefix sharing adds on
-      // top of threading.
-      {
-        auto build = pipeline::build(w.source, Technique::kFerrum);
-        fault::CampaignOptions campaign;
-        campaign.trials = trials;
-        campaign.jobs = jobs;
-        campaign.ckpt_stride = stride;
-        double width1_tps = 0.0;
-        for (int width : {1, 4, 8}) {
-          campaign.batch = width;
-          const auto result = fault::run_campaign(build.program, campaign);
-          const double tps = trials_per_second(result, trials);
-          if (width == 1) width1_tps = tps;
-          telemetry::Json row = telemetry::Json::object();
-          row["trials_per_second"] = tps;
-          row["speedup_vs_width1"] =
-              width1_tps > 0.0 ? tps / width1_tps : 0.0;
-          row["ckpt"] = telemetry::wallclock_json(result);
-          report.wallclock()["batch"]["width" + std::to_string(width)] =
-              row;
-          std::printf("batch    width=%d %9.1f trials/s   vs width1 "
-                      "%5.2fx\n",
-                      width, tps, width1_tps > 0.0 ? tps / width1_tps : 0.0);
-        }
-      }
+      auto build = pipeline::build(w.source, Technique::kFerrum);
+      const check::prune::PruneReport prune =
+          check::prune::prune_program(build.program);
+      fault::AuditOptions audit;
+      audit.jobs = jobs;
+      audit.ckpt_stride = stride;
+      audit.prune = &prune;
+      const auto result = fault::audit_program(build.program, audit);
+      const double probes = static_cast<double>(result.prune.pilot_injections);
+      const double rate =
+          result.wall_seconds > 0.0 ? probes / result.wall_seconds : 0.0;
+      telemetry::Json row = telemetry::Json::object();
+      row["probes"] = result.prune.pilot_injections;
+      row["probes_per_second"] = rate;
+      row["ckpt"] = telemetry::wallclock_json(result);
+      report.wallclock()["audit"]["ferrum"] = row;
+      std::printf("audit    ferrum   %9.1f probes/s (%llu pruned pilots)\n",
+                  rate,
+                  static_cast<unsigned long long>(
+                      result.prune.pilot_injections));
     }
     report.write();
   }
@@ -237,20 +189,12 @@ int main(int argc, char** argv) {
         BM_VmRun(s, Technique::kNone, false);
       })->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark(
-      "VmRun/raw_switch", [](benchmark::State& s) {
-        BM_VmRun(s, Technique::kNone, false, vm::DispatchMode::kSwitch);
-      })->Unit(benchmark::kMicrosecond);
-  benchmark::RegisterBenchmark(
       "VmRun/raw_timing", [](benchmark::State& s) {
         BM_VmRun(s, Technique::kNone, true);
       })->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark(
       "VmRun/ferrum", [](benchmark::State& s) {
         BM_VmRun(s, Technique::kFerrum, false);
-      })->Unit(benchmark::kMicrosecond);
-  benchmark::RegisterBenchmark(
-      "VmRun/ferrum_switch", [](benchmark::State& s) {
-        BM_VmRun(s, Technique::kFerrum, false, vm::DispatchMode::kSwitch);
       })->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark(
       "VmRun/hybrid", [](benchmark::State& s) {

@@ -8,7 +8,7 @@
 //      site list;
 //   2. determinism — two independent flow_program runs serialize to
 //      byte-identical ferrum.flow.v1 documents (the analysis has no
-//      hidden state; FERRUM_JOBS/dispatch/batch never enter it);
+//      hidden state; FERRUM_JOBS and the engine knobs never enter it);
 //   3. shape — an unprotected build has no reachable detector, so zero
 //      predicted-detected sites; a ferrum build detects most sites; the
 //      store-data knob strictly grows the site list with kStoreData
@@ -106,7 +106,7 @@ void check_report(const std::string& label, const masm::AsmProgram& program,
   }
   // Determinism: a fresh analysis of the same program serializes
   // byte-identically. flow_program reads nothing but the program and
-  // options, so this also certifies jobs/dispatch/batch invariance —
+  // options, so this also certifies jobs and engine-knob invariance —
   // those knobs have no channel into the analysis.
   const FlowReport again = check::flow::flow_program(program, options);
   if (check::flow::to_json(report, program).dump() !=

@@ -230,9 +230,7 @@ int main() {
           std::vector<fault::CampaignCell> retuned = cells;
           for (fault::CampaignCell& cell : retuned) {
             cell.jobs = 4;
-            cell.batch = 1;
             cell.ckpt_stride = 8;
-            cell.dispatch = "switch";
           }
           const auto warm_job = client.submit(retuned, error);
           if (!warm_job.has_value()) {

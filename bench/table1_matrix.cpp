@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,10 +24,10 @@
 #include "bench_util.h"
 #include "telemetry/json.h"
 #include "fault/campaign.h"
+#include "fault/executor.h"
 #include "fault/step_budget.h"
 #include "masm/masm.h"
 #include "pipeline/pipeline.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "vm/engine.h"
 #include "vm/vm.h"
@@ -73,7 +72,6 @@ int main() {
   std::printf("Table I — measured protection capability per fault class\n");
   std::printf("(extended fault model incl. store-data; %d samples per "
               "benchmark per technique, %d worker(s))\n\n", trials, jobs);
-  ThreadPool pool(jobs);
 
   const Technique techniques[] = {Technique::kIrEddi, Technique::kHybrid,
                                   Technique::kFerrum};
@@ -124,22 +122,11 @@ int main() {
         bool sdc = false;
       };
       std::vector<TrialSlot> slots(specs.size());
-      std::vector<std::unique_ptr<vm::Engine>> engines(
-          static_cast<std::size_t>(pool.workers()));
-      pool.parallel_for_indexed(specs.size(), [&](int worker,
-                                                  std::size_t begin,
-                                                  std::size_t end) {
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty);
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          const vm::VmResult run =
-              ckpt_stride > 0 ? engine->run_from(ckpts, faulty, &specs[i], 1)
-                              : engine->run(faulty, &specs[i], 1);
-          slots[i].landing = run.fault_landing;
-          slots[i].sdc = run.ok() && run.output != golden.output;
-        }
+      fault::TrialExecutor executor(decoded, ckpts, ckpt_stride > 0, faulty,
+                                    jobs);
+      executor.run(specs, [&](std::size_t i, const vm::VmResult& run) {
+        slots[i].landing = run.fault_landing;
+        slots[i].sdc = run.ok() && run.output != golden.output;
       });
       for (const TrialSlot& slot : slots) {
         if (!slot.landing.has_value()) continue;

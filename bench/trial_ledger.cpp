@@ -5,8 +5,10 @@
 // Trials are split by outcome — benign trials that rejoined the golden
 // run, benign trials that ran to halt, SDC, detected, crash — and their
 // interpreted steps are split at the first fault into prefix (restore or
-// cold start up to the faulting instruction) and post-fault steps, the
-// split the engine's FastForwardStats ledger keeps (cross-checked here).
+// cold start up to the faulting instruction) and post-fault steps. The
+// engine's FastForwardStats ledger keeps the same split, with the prefix
+// divided at the fork point into walk_steps and prefix_steps (a trial run
+// alone is a one-trial walk); it is cross-checked here.
 // Each cell also times its golden run twice, plain and capturing the
 // checkpoints, since capture is paid once per campaign before any trial;
 // capture_steps_per_second is golden steps over capture seconds.
@@ -134,7 +136,7 @@ bool run_cell(const masm::AsmProgram& program, int trials, int stride,
     ledger.post_fault_steps[b] += executed - prefix;
   }
   const vm::FastForwardStats& ff = engine.stats();
-  return ff.prefix_steps == Ledger::sum(ledger.prefix_steps) &&
+  return ff.walk_steps + ff.prefix_steps == Ledger::sum(ledger.prefix_steps) &&
          ff.post_fault_steps == Ledger::sum(ledger.post_fault_steps) &&
          ff.unrejoined_halts ==
              ledger.trials[kBenignHalted] + ledger.trials[kSdc] &&

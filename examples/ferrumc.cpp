@@ -88,7 +88,6 @@ int usage(const char* argv0) {
                "<file.c|file.s>\n"
                "       [--tech=none|ir-eddi|hybrid|ferrum]\n"
                "       [--trials=N] [--jobs=N] [--ckpt-stride=N] [--timing]\n"
-               "       [--dispatch=switch|threaded] [--batch=N]\n"
                "       [--max-half-width=X]\n"
                "       [--lint[=json]] [--summary] [--prune] "
                "[--stats=<file.json>]\n"
@@ -138,16 +137,11 @@ int usage(const char* argv0) {
                "golden-run checkpoint spacing for campaign/audit "
                "fast-forwarding; 0 disables checkpointing; results are "
                "bit-identical for every stride;\n"
-               " --dispatch picks the interpreter inner loop (defaults "
-               "to FERRUM_DISPATCH, then threaded when the build has it); "
-               "--batch defaults to FERRUM_BATCH, then 8 — lockstep lanes "
-               "per campaign/audit engine call, 1 = scalar; both knobs "
-               "never change results, only wall-clock;\n"
                " --max-half-width (default FERRUM_CI_TARGET, then 0 = "
                "off) stops a campaign at the first power-of-two trial "
                "boundary where every outcome-rate 95%% Wilson half-width "
                "is <= the target — deterministic (the stopped count is a "
-               "pure function of the cell, never of jobs/batch/dispatch) "
+               "pure function of the cell, never of jobs or stride) "
                "and cache-key material; incompatible with --prune;\n"
                " --stats writes run/campaign/audit telemetry as JSON — "
                "the 'metrics' section is deterministic, 'wallclock' is "
@@ -255,10 +249,7 @@ int main(int argc, char** argv) {
   int trials = env_trials();
   int jobs = env_jobs();
   int ckpt_stride = env_ckpt_stride();
-  int batch = env_batch();
   double max_half_width = env_ci_target();
-  vm::DispatchMode dispatch = vm::DispatchMode::kAuto;
-  std::string dispatch_name = "auto";
   bool timing = false;
   bool lint = command == "lint";
   bool lint_json = false;
@@ -324,11 +315,6 @@ int main(int argc, char** argv) {
                      arg.c_str() + 14);
         return 2;
       }
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      if (!parse_int(arg.c_str() + 8, batch) || batch < 1) {
-        std::fprintf(stderr, "bad --batch value '%s'\n", arg.c_str() + 8);
-        return 2;
-      }
     } else if (arg.rfind("--max-half-width=", 0) == 0) {
       if (!parse_double(arg.c_str() + 17, max_half_width) ||
           max_half_width < 0.0 || max_half_width >= 0.5) {
@@ -337,21 +323,6 @@ int main(int argc, char** argv) {
                      arg.c_str() + 17);
         return 2;
       }
-    } else if (arg == "--dispatch=switch") {
-      dispatch = vm::DispatchMode::kSwitch;
-      dispatch_name = "switch";
-    } else if (arg == "--dispatch=threaded") {
-      if (!vm::threaded_dispatch_available()) {
-        std::fprintf(stderr,
-                     "this build has no threaded dispatch "
-                     "(FERRUM_DISPATCH=switch at configure time)\n");
-        return 2;
-      }
-      dispatch = vm::DispatchMode::kThreaded;
-      dispatch_name = "threaded";
-    } else if (arg.rfind("--dispatch=", 0) == 0) {
-      std::fprintf(stderr, "bad --dispatch value '%s'\n", arg.c_str() + 11);
-      return 2;
     } else if (arg == "--timing") {
       timing = true;
     } else if (arg == "--prune") {
@@ -416,8 +387,6 @@ int main(int argc, char** argv) {
     // daemon returns the same stored bytes for every value of these.
     cell.jobs = jobs;
     cell.ckpt_stride = ckpt_stride;
-    cell.batch = batch;
-    cell.dispatch = dispatch_name;
     service::Client client = service::Client::connect(socket_path, error);
     if (!client.valid()) {
       std::fprintf(stderr, "cannot reach daemon at %s: %s\n",
@@ -726,7 +695,6 @@ int main(int argc, char** argv) {
     vm::VmOptions options;
     options.timing = timing;
     options.profile = !stats_path.empty();
-    options.dispatch = dispatch;
     const vm::VmResult result = vm::run(build.program, options);
     for (std::uint64_t value : result.output) {
       std::printf("%lld\n", static_cast<long long>(value));
@@ -758,8 +726,6 @@ int main(int argc, char** argv) {
     fault::AuditOptions audit_options;
     audit_options.jobs = jobs;
     audit_options.ckpt_stride = ckpt_stride;
-    audit_options.batch = batch;
-    audit_options.vm.dispatch = dispatch;
     check::prune::PruneReport prune_report;
     if (prune) {
       check::prune::PruneOptions prune_options;
@@ -817,8 +783,6 @@ int main(int argc, char** argv) {
     options.trials = static_cast<std::uint64_t>(trials);
     options.jobs = jobs;
     options.ckpt_stride = ckpt_stride;
-    options.batch = batch;
-    options.vm.dispatch = dispatch;
     options.vm.fault_store_data = store_data;
     options.max_half_width = max_half_width;
     section_options.store_data_sites = store_data;
@@ -896,8 +860,6 @@ int main(int argc, char** argv) {
     options.trials = trials;
     options.jobs = jobs;
     options.ckpt_stride = ckpt_stride;
-    options.batch = batch;
-    options.vm.dispatch = dispatch;
     options.max_half_width = max_half_width;
     if (prune && max_half_width > 0.0) {
       std::fprintf(stderr,

@@ -1,10 +1,7 @@
 #include "fault/audit.h"
 
-#include <algorithm>
-#include <chrono>
-#include <iterator>
 #include <map>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
@@ -13,12 +10,20 @@
 // ferrum_check and reaches this layer as a const pointer, so ferrum_fault
 // takes no link dependency on it (telemetry links fault back into check).
 #include "check/prune.h"
+#include "fault/executor.h"
 #include "fault/prune_map.h"
 #include "fault/step_budget.h"
-#include "support/parallel.h"
 #include "vm/engine.h"
 
 namespace ferrum::fault {
+
+ProbeOutcome probe_outcome(const vm::VmResult& run,
+                           const std::vector<std::uint64_t>& golden_output) {
+  if (run.status == vm::ExitStatus::kDetected) return ProbeOutcome::kDetected;
+  if (!run.ok()) return ProbeOutcome::kCrashed;
+  return run.output == golden_output ? ProbeOutcome::kBenign
+                                     : ProbeOutcome::kSdc;
+}
 
 namespace {
 
@@ -50,14 +55,6 @@ class SiteOutcomeTally {
  private:
   std::map<std::tuple<std::string, int, int, int>, SiteOutcome> map_;
 };
-
-/// Effective lockstep width for Engine::run_batch (mirrors the campaign
-/// gate): timing/profile/trace audits stay scalar.
-std::size_t batch_width(int batch, const vm::VmOptions& vm) {
-  if (batch <= 1) return 1;
-  if (vm.timing || vm.profile || vm.trace_limit != 0) return 1;
-  return static_cast<std::size_t>(batch);
-}
 
 /// Class-extrapolated audit: one pilot injection per (class, effective
 /// bit, stratum); every other live probe inherits its pilot's outcome,
@@ -116,11 +113,7 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
   // Serial pilot plan: walk probes in (site, probe-bit) order; the first
   // probe of each pilot key becomes the pilot. Deterministic and
   // jobs-invariant by construction.
-  struct Pilot {
-    std::uint64_t site = 0;
-    int bit = 0;
-  };
-  std::vector<Pilot> pilots;
+  std::vector<vm::FaultSpec> pilots;
   std::unordered_map<std::uint64_t, std::uint32_t> pilot_by_key;
   std::vector<std::int32_t> probe_pilot(nsites * nbits, -1);
   for (std::size_t id = 0; id < nsites; ++id) {
@@ -153,78 +146,16 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
   faulty.max_steps = faulty_step_budget(golden.steps);
   std::vector<ProbeOutcome> outcomes(pilots.size(), ProbeOutcome::kBenign);
   std::vector<vm::FaultLanding> landings(pilots.size());
-  ThreadPool pool(options.jobs);
-  report.sites_per_worker.assign(static_cast<std::size_t>(pool.workers()), 0);
-  std::vector<std::unique_ptr<vm::Engine>> engines(
-      static_cast<std::size_t>(pool.workers()));
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::size_t width = batch_width(options.batch, options.vm);
-  pool.parallel_for_indexed(
-      pilots.size(), [&](int worker, std::size_t begin, std::size_t end) {
-        report.sites_per_worker[static_cast<std::size_t>(worker)] +=
-            end - begin;
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty);
-        }
-        const auto record = [&](std::size_t p, const vm::VmResult& run) {
-          if (run.status == vm::ExitStatus::kDetected) {
-            outcomes[p] = ProbeOutcome::kDetected;
-          } else if (!run.ok()) {
-            outcomes[p] = ProbeOutcome::kCrashed;
-          } else if (run.output == golden.output) {
-            outcomes[p] = ProbeOutcome::kBenign;
-          } else {
-            outcomes[p] = ProbeOutcome::kSdc;
-          }
-          // Landing coordinates are kept for every outcome: the
-          // site_outcomes tally needs them for unmatched pilots, not
-          // just the SDC escapes.
-          if (run.fault_landing.has_value()) {
-            landings[p] = *run.fault_landing;
-          }
-        };
-        if (width <= 1) {
-          for (std::size_t p = begin; p < end; ++p) {
-            vm::FaultSpec fault;
-            fault.site = pilots[p].site;
-            fault.bit = pilots[p].bit;
-            const vm::VmResult run =
-                fast_forward ? engine->run_from(ckpts, faulty, &fault, 1)
-                             : engine->run(faulty, &fault, 1);
-            record(p, run);
-          }
-          return;
-        }
-        // Lockstep over the pilot plan. The plan walks dynamic sites in
-        // ascending order, so consecutive pilots already share a prefix
-        // window — no per-chunk sort is needed here.
-        std::vector<vm::FaultSpec> group(width);
-        std::vector<vm::Engine::BatchTrial> lanes(width);
-        std::vector<vm::VmResult> runs(width);
-        for (std::size_t base = begin; base < end; base += width) {
-          const std::size_t n = std::min(width, end - base);
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            group[lane].site = pilots[base + lane].site;
-            group[lane].bit = pilots[base + lane].bit;
-            lanes[lane].faults = &group[lane];
-            lanes[lane].fault_count = 1;
-          }
-          engine->run_batch(fast_forward ? &ckpts : nullptr, faulty,
-                            lanes.data(), n, runs.data());
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            record(base + lane, runs[lane]);
-          }
-        }
-      });
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  report.ckpt.describe(ckpts, fast_forward);
-  for (const auto& engine : engines) {
-    if (engine != nullptr) report.ckpt.ff.merge(engine->stats());
-  }
+  TrialExecutor executor(decoded, ckpts, fast_forward, faulty, options.jobs);
+  executor.run(pilots, [&](std::size_t p, const vm::VmResult& run) {
+    outcomes[p] = probe_outcome(run, golden.output);
+    // Landing coordinates are kept for every outcome: the site_outcomes
+    // tally needs them for unmatched pilots, not just the SDC escapes.
+    if (run.fault_landing.has_value()) landings[p] = *run.fault_landing;
+  });
+  report.sites_per_worker = executor.trials_per_worker();
+  report.wall_seconds = executor.wall_seconds();
+  report.ckpt = executor.telemetry();
 
   // Extrapolate in probe order. Escape coordinates are exact — each
   // probe's own static record, not the pilot's — only the outcome is
@@ -358,157 +289,65 @@ AuditReport audit_program(const masm::AsmProgram& program,
   const std::size_t slots = static_cast<std::size_t>(
       golden.fi_sites == 0 ? 0 : (golden.fi_sites + stride - 1) / stride);
 
-  // Every (site, bit) probe is independent: sweep the sites across the
-  // pool into per-site partial reports, then merge them in site order so
+  // Every (site, bit) probe is independent: run them across the pool,
+  // each writing only its own outcome slot, then merge in site order so
   // the escape list comes out exactly as a serial sweep would produce it.
-  struct SitePartial {
-    std::uint64_t injections = 0;
-    std::uint64_t detected = 0;
-    std::uint64_t benign = 0;
-    std::uint64_t crashed = 0;
-    std::vector<AuditEscape> escapes;
-    /// Every probe of a slot lands on the same static instruction (one
-    /// dynamic site, one landing pc), so the slot carries one landing
-    /// plus per-outcome counts for the site_outcomes tally.
-    vm::FaultLanding landing;
-    bool has_landing = false;
-    std::array<std::uint64_t, kProbeOutcomeCount> outcome{};
-  };
-  std::vector<SitePartial> partials(slots);
-  ThreadPool pool(options.jobs);
-  report.sites_per_worker.assign(static_cast<std::size_t>(pool.workers()), 0);
-  std::vector<std::unique_ptr<vm::Engine>> engines(
-      static_cast<std::size_t>(pool.workers()));
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::size_t width = batch_width(options.batch, options.vm);
-  pool.parallel_for_indexed(
-      slots, [&](int worker, std::size_t begin, std::size_t end) {
-        report.sites_per_worker[static_cast<std::size_t>(worker)] +=
-            end - begin;
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty);
-        }
-        const auto record = [&](std::size_t slot, std::uint64_t site, int bit,
-                                const vm::VmResult& run) {
-          SitePartial& partial = partials[slot];
-          ++partial.injections;
-          ProbeOutcome outcome;
-          if (run.status == vm::ExitStatus::kDetected) {
-            outcome = ProbeOutcome::kDetected;
-            ++partial.detected;
-          } else if (!run.ok()) {
-            outcome = ProbeOutcome::kCrashed;
-            ++partial.crashed;
-          } else if (run.output == golden.output) {
-            outcome = ProbeOutcome::kBenign;
-            ++partial.benign;
-          } else {
-            outcome = ProbeOutcome::kSdc;
-            AuditEscape escape;
-            escape.site = site;
-            escape.bit = bit;
-            if (run.fault_landing.has_value()) {
-              escape.kind = run.fault_landing->kind;
-              escape.origin = run.fault_landing->origin;
-              escape.op = run.fault_landing->op;
-              escape.function = run.fault_landing->function;
-              escape.block = run.fault_landing->block;
-              escape.inst = run.fault_landing->inst;
-            }
-            partial.escapes.push_back(std::move(escape));
-          }
-          if (options.site_outcomes && run.fault_landing.has_value()) {
-            if (!partial.has_landing) {
-              partial.landing = *run.fault_landing;
-              partial.has_landing = true;
-            }
-            ++partial.outcome[static_cast<std::size_t>(outcome)];
-          }
-        };
-        if (width <= 1) {
-          for (std::size_t slot = begin; slot < end; ++slot) {
-            const std::uint64_t site = slot * stride;
-            for (int bit : options.probe_bits) {
-              vm::FaultSpec fault;
-              fault.site = site;
-              fault.bit = bit;
-              const vm::VmResult run =
-                  fast_forward ? engine->run_from(ckpts, faulty, &fault, 1)
-                               : engine->run(faulty, &fault, 1);
-              record(slot, site, bit, run);
-            }
-          }
-          return;
-        }
-        // Lockstep over the chunk's flattened (site, bit) probes. The
-        // flattening walks sites in ascending order, so one batch's
-        // lanes cluster on neighbouring sites and share most of the
-        // fault-free prefix walk. Probes still record into their own
-        // site's partial — the site-order merge below is unchanged.
-        const std::size_t nbits = options.probe_bits.size();
-        const std::size_t nprobes = (end - begin) * nbits;
-        std::vector<vm::FaultSpec> group(width);
-        std::vector<vm::Engine::BatchTrial> lanes(width);
-        std::vector<vm::VmResult> runs(width);
-        for (std::size_t base = 0; base < nprobes; base += width) {
-          const std::size_t n = std::min(width, nprobes - base);
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            const std::size_t probe = base + lane;
-            group[lane].site = (begin + probe / nbits) * stride;
-            group[lane].bit = options.probe_bits[probe % nbits];
-            lanes[lane].faults = &group[lane];
-            lanes[lane].fault_count = 1;
-          }
-          engine->run_batch(fast_forward ? &ckpts : nullptr, faulty,
-                            lanes.data(), n, runs.data());
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            const std::size_t probe = base + lane;
-            const std::size_t slot = begin + probe / nbits;
-            record(slot, slot * stride, options.probe_bits[probe % nbits],
-                   runs[lane]);
-          }
-        }
-      });
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  report.ckpt.describe(ckpts, fast_forward);
-  for (const auto& engine : engines) {
-    if (engine != nullptr) report.ckpt.ff.merge(engine->stats());
+  // Every probe of one dynamic site lands on the same instruction (the
+  // prefix before the site is golden), so the first probe of each site
+  // records the landing for all of them.
+  const std::size_t nbits = options.probe_bits.size();
+  std::vector<vm::FaultSpec> probes(slots * nbits);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    probes[i].site = i / nbits * stride;
+    probes[i].bit = options.probe_bits[i % nbits];
   }
+  std::vector<ProbeOutcome> outcomes(probes.size(), ProbeOutcome::kBenign);
+  std::vector<std::optional<vm::FaultLanding>> landings(slots);
+  TrialExecutor executor(decoded, ckpts, fast_forward, faulty, options.jobs);
+  executor.run(probes, [&](std::size_t i, const vm::VmResult& run) {
+    outcomes[i] = probe_outcome(run, golden.output);
+    if (i % nbits == 0) landings[i / nbits] = run.fault_landing;
+  });
+  report.sites_per_worker = executor.trials_per_worker();
+  report.wall_seconds = executor.wall_seconds();
+  report.ckpt = executor.telemetry();
 
-  // Merge in site order with one up-front reservation; the escape lists
-  // splice over with bulk moves instead of element-by-element growth.
-  std::size_t total_escapes = 0;
-  for (const SitePartial& partial : partials) {
-    total_escapes += partial.escapes.size();
-  }
-  report.escapes.reserve(total_escapes);
-  for (SitePartial& partial : partials) {
-    report.injections += partial.injections;
-    report.detected += partial.detected;
-    report.benign += partial.benign;
-    report.crashed += partial.crashed;
-    report.escapes.insert(report.escapes.end(),
-                          std::make_move_iterator(partial.escapes.begin()),
-                          std::make_move_iterator(partial.escapes.end()));
-  }
-  if (options.site_outcomes) {
-    SiteOutcomeTally tally;
-    for (const SitePartial& partial : partials) {
-      if (!partial.has_landing) continue;
-      for (int o = 0; o < kProbeOutcomeCount; ++o) {
-        const std::uint64_t n = partial.outcome[static_cast<std::size_t>(o)];
-        if (n == 0) continue;
-        tally.add(partial.landing.function, partial.landing.block,
-                  partial.landing.inst, partial.landing.kind,
-                  static_cast<ProbeOutcome>(o), n);
+  SiteOutcomeTally tally;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const std::optional<vm::FaultLanding>& landing = landings[i / nbits];
+    ++report.injections;
+    switch (outcomes[i]) {
+      case ProbeOutcome::kDetected:
+        ++report.detected;
+        break;
+      case ProbeOutcome::kCrashed:
+        ++report.crashed;
+        break;
+      case ProbeOutcome::kBenign:
+        ++report.benign;
+        break;
+      case ProbeOutcome::kSdc: {
+        AuditEscape escape;
+        escape.site = probes[i].site;
+        escape.bit = probes[i].bit;
+        if (landing.has_value()) {
+          escape.kind = landing->kind;
+          escape.origin = landing->origin;
+          escape.op = landing->op;
+          escape.function = landing->function;
+          escape.block = landing->block;
+          escape.inst = landing->inst;
+        }
+        report.escapes.push_back(std::move(escape));
+        break;
       }
     }
-    report.site_outcomes = tally.take();
+    if (options.site_outcomes && landing.has_value()) {
+      tally.add(landing->function, landing->block, landing->inst,
+                landing->kind, outcomes[i]);
+    }
   }
+  if (options.site_outcomes) report.site_outcomes = tally.take();
   return report;
 }
 

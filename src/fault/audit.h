@@ -30,18 +30,12 @@ struct AuditOptions {
   /// `escapes` — is identical for every jobs value.
   int jobs = 1;
   /// Golden-run checkpoint stride in dynamic FI sites (FERRUM_CKPT_STRIDE):
-  /// each probe restores the nearest snapshot at-or-before its site. The
-  /// audit is quadratic (sites x steps) when cold, so this is the knob
-  /// that makes larger programs auditable. 0 disables fast-forwarding;
-  /// the report is bit-identical either way.
+  /// the golden walk resumes each probe from the nearest snapshot
+  /// at-or-before its site when the walk is not already there. The audit
+  /// is quadratic (sites x steps) when cold, so this is the knob that
+  /// makes larger programs auditable. 0 disables fast-forwarding; the
+  /// report is bit-identical either way.
   int ckpt_stride = 64;
-  /// Lockstep batch width (FERRUM_BATCH): each worker hands `batch`
-  /// (site, bit) probes at a time to vm::Engine::run_batch, which walks
-  /// their shared fault-free prefix once and forks a journaled lane per
-  /// probe. <= 1 keeps every probe on the scalar run/run_from path. The
-  /// report is bit-identical for every width — the knob, like jobs and
-  /// ckpt_stride, only moves wall-clock.
-  int batch = 8;
   /// Probe only every Nth dynamic site (ids congruent to 0 mod N) — a
   /// deterministic subsample that keeps the exhaustive frame's exactness
   /// on the sites it does probe, for cross-validation harnesses that
@@ -86,6 +80,12 @@ struct AuditEscape {
 /// / silent data corruption).
 enum class ProbeOutcome : std::uint8_t { kDetected, kCrashed, kBenign, kSdc };
 constexpr int kProbeOutcomeCount = 4;
+
+/// Classifies one faulty run against the golden output: the detector
+/// fired, the run ended abnormally, its output matches golden, or it is a
+/// silent data corruption.
+ProbeOutcome probe_outcome(const vm::VmResult& run,
+                           const std::vector<std::uint64_t>& golden_output);
 
 /// Probe-outcome tally of one *static* fault site across every dynamic
 /// occurrence and probe bit the audit exercised. The coordinates match
@@ -160,9 +160,9 @@ struct AuditReport {
   std::vector<SiteOutcome> site_outcomes;
 
   // --- Observability only (scheduling-dependent, NOT deterministic) ---
-  /// Sites swept by each pool worker (index 0 = the calling thread).
+  /// Probes run by each pool worker (index 0 = the calling thread).
   std::vector<std::uint64_t> sites_per_worker;
-  /// Wall-clock seconds spent sweeping the sites.
+  /// Wall-clock seconds spent running the probes.
   double wall_seconds = 0.0;
   /// Checkpoint/fast-forward accounting (stride-dependent, exported only
   /// in the wallclock section of BENCH artifacts).

@@ -1,10 +1,7 @@
 #include "fault/campaign.h"
 
-#include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -12,9 +9,10 @@
 // Types and inline lookups only — see fault/prune_map.h for why this adds
 // no link dependency on ferrum_check.
 #include "check/prune.h"
+#include "fault/audit.h"
+#include "fault/executor.h"
 #include "fault/prune_map.h"
 #include "fault/step_budget.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "vm/engine.h"
 
@@ -79,16 +77,14 @@ PreparedCampaign::PreparedCampaign(const masm::AsmProgram& program,
 
 namespace {
 
-Outcome classify(const vm::VmResult& result,
-                 const std::vector<std::uint64_t>& golden) {
-  switch (result.status) {
-    case vm::ExitStatus::kOk:
-      return result.output == golden ? Outcome::kBenign : Outcome::kSdc;
-    case vm::ExitStatus::kDetected:
-      return Outcome::kDetected;
-    default:
-      return Outcome::kCrash;
+Outcome campaign_outcome(ProbeOutcome outcome) {
+  switch (outcome) {
+    case ProbeOutcome::kDetected: return Outcome::kDetected;
+    case ProbeOutcome::kCrashed: return Outcome::kCrash;
+    case ProbeOutcome::kBenign: return Outcome::kBenign;
+    case ProbeOutcome::kSdc: return Outcome::kSdc;
   }
+  return Outcome::kCrash;
 }
 
 struct TrialSlot {
@@ -100,7 +96,7 @@ struct TrialSlot {
 void record_trial(TrialSlot& slot, const vm::VmResult& run,
                   const std::vector<std::uint64_t>& golden_output,
                   CampaignProgress* progress) {
-  slot.outcome = classify(run, golden_output);
+  slot.outcome = campaign_outcome(probe_outcome(run, golden_output));
   if (progress != nullptr) {
     progress->counts[static_cast<std::size_t>(slot.outcome)].fetch_add(
         1, std::memory_order_relaxed);
@@ -112,15 +108,6 @@ void record_trial(TrialSlot& slot, const vm::VmResult& run,
   if (slot.outcome == Outcome::kSdc && run.fault_landing.has_value()) {
     slot.sdc_landing = run.fault_landing;
   }
-}
-
-/// Effective lockstep width: batching needs the full VmResult-only
-/// contract of Engine::run_batch, so timing/profile/trace campaigns
-/// stay scalar (exactly like fast_forward).
-std::size_t batch_width(int batch, const vm::VmOptions& vm) {
-  if (batch <= 1) return 1;
-  if (vm.timing || vm.profile || vm.trace_limit != 0) return 1;
-  return static_cast<std::size_t>(batch);
 }
 
 /// Class-extrapolated campaign: the fault set is drawn exactly like the
@@ -217,68 +204,19 @@ CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
 
   // Execute only the pilots across the pool; per-pilot slots merge in
   // trial order below.
-  std::vector<TrialSlot> slots(pilots.size());
-  ThreadPool pool(options.jobs);
-  result.trials_per_worker.assign(static_cast<std::size_t>(pool.workers()), 0);
-  std::vector<std::unique_ptr<vm::Engine>> engines(
-      static_cast<std::size_t>(pool.workers()));
-  const std::size_t width = batch_width(options.batch, options.vm);
-  const auto wall_start = std::chrono::steady_clock::now();
-  pool.parallel_for_indexed(
-      pilots.size(), [&](int worker, std::size_t begin, std::size_t end) {
-        result.trials_per_worker[static_cast<std::size_t>(worker)] +=
-            end - begin;
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty_vm);
-        }
-        if (width <= 1) {
-          for (std::size_t p = begin; p < end; ++p) {
-            const vm::FaultSpec* fault = specs.data() + pilots[p];
-            const vm::VmResult run =
-                fast_forward ? engine->run_from(ckpts, faulty_vm, fault, 1)
-                             : engine->run(faulty_vm, fault, 1);
-            record_trial(slots[p], run, golden.output,
-                         options.progress);
-          }
-          return;
-        }
-        // Lockstep over the pilots: grouping by site shares the prefix
-        // walk; slot p is still written from runs[lane] of its own
-        // pilot, so the trial-order reduction is width-invariant.
-        std::vector<std::size_t> order;
-        order.reserve(end - begin);
-        for (std::size_t p = begin; p < end; ++p) order.push_back(p);
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    const std::uint64_t sa = specs[pilots[a]].site;
-                    const std::uint64_t sb = specs[pilots[b]].site;
-                    return sa != sb ? sa < sb : a < b;
-                  });
-        std::vector<vm::Engine::BatchTrial> lanes(width);
-        std::vector<vm::VmResult> runs(width);
-        for (std::size_t base = 0; base < order.size(); base += width) {
-          const std::size_t n = std::min(width, order.size() - base);
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            lanes[lane].faults = specs.data() + pilots[order[base + lane]];
-            lanes[lane].fault_count = 1;
-          }
-          engine->run_batch(fast_forward ? &ckpts : nullptr, faulty_vm,
-                            lanes.data(), n, runs.data());
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            record_trial(slots[order[base + lane]], runs[lane],
-                         golden.output, options.progress);
-          }
-        }
-      });
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  result.ckpt.describe(ckpts, fast_forward);
-  for (const auto& engine : engines) {
-    if (engine != nullptr) result.ckpt.ff.merge(engine->stats());
+  std::vector<vm::FaultSpec> pilot_plan(pilots.size());
+  for (std::size_t p = 0; p < pilots.size(); ++p) {
+    pilot_plan[p] = specs[pilots[p]];
   }
+  std::vector<TrialSlot> slots(pilots.size());
+  TrialExecutor executor(decoded, ckpts, fast_forward, faulty_vm,
+                         options.jobs);
+  executor.run(pilot_plan, [&](std::size_t p, const vm::VmResult& run) {
+    record_trial(slots[p], run, golden.output, options.progress);
+  });
+  result.trials_per_worker = executor.trials_per_worker();
+  result.wall_seconds = executor.wall_seconds();
+  result.ckpt = executor.telemetry();
 
   // Trial-order reduction with extrapolation: every drawn trial is
   // counted; outcome/latency come from its pilot, SDC-breakdown
@@ -395,89 +333,18 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
 
   // Execute the trials across the pool; each trial writes only its own
   // slot, and the reduction below walks the slots in trial order, so the
-  // result does not depend on scheduling.
+  // result does not depend on scheduling. Adaptive campaigns run one
+  // power-of-two block at a time; a trial's execution does not depend on
+  // which block ran it, so the block structure is result-invariant.
   std::vector<TrialSlot> slots(trials);
-  ThreadPool pool(options.jobs);
-  result.trials_per_worker.assign(static_cast<std::size_t>(pool.workers()), 0);
-  // One reusable Engine per worker (created lazily on the thread that
-  // uses it): the arena is allocated once and reset by dirty-page diff,
-  // never re-zeroed wholesale, and restores read the shared CheckpointSet.
-  std::vector<std::unique_ptr<vm::Engine>> engines(
-      static_cast<std::size_t>(pool.workers()));
-  const std::size_t width = batch_width(options.batch, options.vm);
-
-  // Executes the canonical trial range [range_begin, range_end) across
-  // the pool. Adaptive campaigns call this once per power-of-two block
-  // (a handful of pool joins in total); full-budget campaigns call it
-  // once for the whole range — which makes the block structure itself
-  // result-invariant: a trial's execution does not depend on which block
-  // ran it.
-  const auto run_range = [&](std::size_t range_begin, std::size_t range_end) {
-    if (range_end <= range_begin) return;
-    pool.parallel_for_indexed(range_end - range_begin, [&](int worker,
-                                                           std::size_t begin,
-                                                           std::size_t end) {
-      begin += range_begin;
-      end += range_begin;
-      // Per-worker tallies are observability only: each slot is written by
-      // exactly one thread, but which worker claims which chunk is
-      // scheduling-dependent (see ThreadPool::parallel_for_indexed).
-      result.trials_per_worker[static_cast<std::size_t>(worker)] +=
-          end - begin;
-      auto& engine = engines[static_cast<std::size_t>(worker)];
-      if (engine == nullptr) {
-        engine = std::make_unique<vm::Engine>(decoded, faulty_vm);
-      }
-      if (width <= 1) {
-        for (std::size_t trial = begin; trial < end; ++trial) {
-          const vm::FaultSpec* faults = specs.data() + trial * per_run;
-          const vm::VmResult run =
-              fast_forward
-                  ? engine->run_from(ckpts, faulty_vm, faults, per_run)
-                  : engine->run(faulty_vm, faults, per_run);
-          record_trial(slots[trial], run, golden.output, options.progress);
-        }
-        return;
-      }
-      // Lockstep batches: order the chunk's trials by earliest fault site
-      // so the lanes grouped into one run_batch call share as much of the
-      // fault-free prefix as possible. The ordering is wall-clock only —
-      // each trial still lands in its own slot and the reduction below
-      // walks slots in trial order.
-      std::vector<std::size_t> order;
-      order.reserve(end - begin);
-      for (std::size_t trial = begin; trial < end; ++trial) {
-        order.push_back(trial);
-      }
-      const auto first_site = [&](std::size_t trial) {
-        std::uint64_t site = specs[trial * per_run].site;
-        for (std::size_t f = 1; f < per_run; ++f) {
-          site = std::min(site, specs[trial * per_run + f].site);
-        }
-        return site;
-      };
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const std::uint64_t sa = first_site(a);
-                  const std::uint64_t sb = first_site(b);
-                  return sa != sb ? sa < sb : a < b;
-                });
-      std::vector<vm::Engine::BatchTrial> lanes(width);
-      std::vector<vm::VmResult> runs(width);
-      for (std::size_t base = 0; base < order.size(); base += width) {
-        const std::size_t n = std::min(width, order.size() - base);
-        for (std::size_t lane = 0; lane < n; ++lane) {
-          lanes[lane].faults = specs.data() + order[base + lane] * per_run;
-          lanes[lane].fault_count = per_run;
-        }
-        engine->run_batch(fast_forward ? &ckpts : nullptr, faulty_vm,
-                          lanes.data(), n, runs.data());
-        for (std::size_t lane = 0; lane < n; ++lane) {
-          record_trial(slots[order[base + lane]], runs[lane], golden.output,
-                       options.progress);
-        }
-      }
-    });
+  TrialExecutor executor(decoded, ckpts, fast_forward, faulty_vm,
+                         options.jobs);
+  const auto run_range = [&](std::size_t begin, std::size_t end) {
+    executor.run(specs, per_run, begin, end,
+                 [&](std::size_t trial, const vm::VmResult& run) {
+                   record_trial(slots[trial], run, golden.output,
+                                options.progress);
+                 });
   };
 
   const StopRule rule{options.max_half_width};
@@ -485,7 +352,6 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
   result.adaptive.target_half_width = rule.enabled() ? rule.max_half_width : 0.0;
   result.adaptive.planned_trials = static_cast<int>(trials);
 
-  const auto wall_start = std::chrono::steady_clock::now();
   std::size_t executed = trials;
   if (!rule.enabled()) {
     run_range(0, trials);
@@ -494,7 +360,7 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
     // order in power-of-two blocks and quit at the first boundary where
     // every outcome rate is pinned. The boundary sequence and the counts
     // at each boundary depend only on the pre-drawn specs, so the stop
-    // decision is identical for every jobs/batch/dispatch combination.
+    // decision is identical for every jobs and stride.
     std::array<int, 4> running{};
     std::size_t done = 0;
     executed = 0;
@@ -517,16 +383,9 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
     }
   }
   result.adaptive.executed_trials = static_cast<int>(executed);
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  result.ckpt.describe(ckpts, fast_forward);
-  // Unordered uint64 sums over the worker engines — deterministic for a
-  // fixed stride even though worker-chunk assignment is not.
-  for (const auto& engine : engines) {
-    if (engine != nullptr) result.ckpt.ff.merge(engine->stats());
-  }
+  result.trials_per_worker = executor.trials_per_worker();
+  result.wall_seconds = executor.wall_seconds();
+  result.ckpt = executor.telemetry();
 
   // Trial-order reduction over the executed canonical prefix (the whole
   // plan unless the stop rule fired).

@@ -56,8 +56,8 @@ struct CampaignProgress {
 /// The golden run depends on vm.fault_store_data (it changes the dynamic
 /// FI-site numbering), so a prepared state is only valid for campaigns
 /// with the same setting — run_campaign throws std::invalid_argument on
-/// a mismatch. ckpt_stride and dispatch are result-invariant: a campaign
-/// may reuse a state captured under any stride.
+/// a mismatch. ckpt_stride is result-invariant: a campaign may reuse a
+/// state captured under any stride.
 struct PreparedCampaign {
   /// Runs the golden profiling run (capturing checkpoints every
   /// `ckpt_stride` FI sites unless the vm options need the full prefix).
@@ -88,20 +88,12 @@ struct CampaignOptions {
   /// CampaignResult is bit-identical for every jobs value.
   int jobs = 1;
   /// Golden-run checkpoint stride in dynamic FI sites (FERRUM_CKPT_STRIDE):
-  /// each faulty trial restores the nearest snapshot at-or-before its
-  /// fault site instead of re-executing from main(). 0 disables
-  /// fast-forwarding (cold trials). Any value yields bit-identical
+  /// the golden walk that runs a worker's trials resumes from the nearest
+  /// snapshot at-or-before a trial's fault site instead of re-executing
+  /// from main() whenever the walk is not already there. 0 disables
+  /// fast-forwarding (cold walks). Any value yields bit-identical
   /// deterministic results — the stride only moves wall-clock.
   int ckpt_stride = 64;
-  /// Lockstep batch width (FERRUM_BATCH): each worker hands `batch`
-  /// trials at a time to vm::Engine::run_batch, which walks their shared
-  /// fault-free prefix once, forks a lane at each trial's first fault
-  /// site and undoes the lane's stores with a page journal. Values <= 1
-  /// keep every trial on the scalar run/run_from path (the identical
-  /// pre-batching code path). Like jobs and ckpt_stride the knob only
-  /// moves wall-clock: results are bit-identical for every width, and
-  /// timing/profile/trace runs fall back to scalar automatically.
-  int batch = 8;
   /// Optional live observer: each finished trial run bumps one outcome
   /// counter (relaxed atomics, snapshot whenever). Must outlive the
   /// run_campaign call. Purely observational — attaching it never
@@ -123,7 +115,7 @@ struct CampaignOptions {
   /// order (see fault/adaptive.h) and stops at the first boundary where
   /// every half-width is <= this target. The stopped trial count is a
   /// pure function of (program, fault model, seed, target) — invariant
-  /// to jobs/ckpt_stride/batch/dispatch like the full result. Cannot be
+  /// to jobs and ckpt_stride like the full result. Cannot be
   /// combined with prune (throws std::invalid_argument): pilot
   /// extrapolation answers trials out of canonical order, so a prefix
   /// stop rule has no meaning there.

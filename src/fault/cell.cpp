@@ -15,14 +15,6 @@ CampaignOptions to_campaign_options(const CampaignCell& cell) {
   options.max_half_width = cell.max_half_width;
   options.jobs = cell.jobs;
   options.ckpt_stride = cell.ckpt_stride;
-  options.batch = cell.batch;
-  if (cell.dispatch == "switch") {
-    options.vm.dispatch = vm::DispatchMode::kSwitch;
-  } else if (cell.dispatch == "threaded") {
-    options.vm.dispatch = vm::DispatchMode::kThreaded;
-  } else {
-    options.vm.dispatch = vm::DispatchMode::kAuto;
-  }
   return options;
 }
 
@@ -74,11 +66,6 @@ bool validate_cell(const CampaignCell& cell, std::string& error) {
     error = "unknown technique '" + cell.technique + "'";
     return false;
   }
-  if (cell.dispatch != "auto" && cell.dispatch != "switch" &&
-      cell.dispatch != "threaded") {
-    error = "unknown dispatch '" + cell.dispatch + "'";
-    return false;
-  }
   if (cell.trials < 1) {
     error = "trials must be >= 1";
     return false;
@@ -100,7 +87,7 @@ bool validate_cell(const CampaignCell& cell, std::string& error) {
     error = "max_half_width cannot be combined with prune";
     return false;
   }
-  if (cell.jobs < 1 || cell.batch < 1 || cell.ckpt_stride < 0 ||
+  if (cell.jobs < 1 || cell.ckpt_stride < 0 ||
       cell.faults_per_run < 1 || cell.burst < 1) {
     error = "engine knobs out of range";
     return false;

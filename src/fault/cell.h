@@ -11,10 +11,10 @@
 //     faults_per_run, burst, fault_store_data, prune, and the adaptive
 //     stop rule (max_half_width): an early-stopped result covers a
 //     different trial prefix, so it must never alias the full-budget one;
-//   * every knob that is proven result-invariant is EXCLUDED — jobs,
-//     ckpt_stride, batch, dispatch only move wall-clock (asserted down to
-//     byte-identical campaign JSON by tests/test_engine.cpp), so a warm
-//     query with different engine knobs must still hit.
+//   * every knob that is proven result-invariant is EXCLUDED — jobs and
+//     ckpt_stride only move wall-clock (asserted down to byte-identical
+//     campaign JSON by tests/test_engine.cpp), so a warm query with
+//     different engine knobs must still hit.
 // The material is versioned ("ferrum-cell-v2"): widening the fault model
 // bumps the version instead of silently aliasing old entries (v1 -> v2
 // added the max_half_width line).
@@ -55,8 +55,6 @@ struct CampaignCell {
   // Engine knobs — result-invariant, never key material.
   int jobs = 1;
   int ckpt_stride = 64;
-  int batch = 8;
-  std::string dispatch = "auto";  // auto | switch | threaded
 };
 
 /// The campaign options a cell resolves to (vm knobs filled in; the
@@ -80,7 +78,7 @@ std::string cell_key(const CampaignCell& cell,
                      const masm::AsmProgram& program);
 
 /// Validates the parts of a cell that do not need a build: exactly one
-/// program source, a known technique/dispatch name, in-range counts.
+/// program source, a known technique name, in-range counts.
 /// Returns false with a description in `error`.
 bool validate_cell(const CampaignCell& cell, std::string& error);
 

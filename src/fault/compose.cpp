@@ -1,12 +1,10 @@
 #include "fault/compose.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -16,11 +14,11 @@
 #include "check/sections.h"
 #include "fault/adaptive.h"
 #include "fault/audit.h"
+#include "fault/executor.h"
 #include "fault/prune_map.h"
 #include "fault/step_budget.h"
 #include "masm/cfg.h"
 #include "support/hash.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/str.h"
 #include "vm/engine.h"
@@ -30,13 +28,6 @@ namespace ferrum::fault {
 namespace {
 
 using detail::mix64;
-
-/// Effective lockstep width for Engine::run_batch (the audit gate).
-std::size_t batch_width(int batch, const vm::VmOptions& vm) {
-  if (batch <= 1) return 1;
-  if (vm.timing || vm.profile || vm.trace_limit != 0) return 1;
-  return static_cast<std::size_t>(batch);
-}
 
 std::string hex16(std::uint64_t value) {
   char buffer[17];
@@ -530,82 +521,26 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
 
   // Execute the cold work across the pool, one boundary round at a time.
   // Each item records into its own slot, so the per-section reduction
-  // below (commutative count sums) is identical for every
-  // jobs/batch/dispatch choice — and so is the stop decision, which only
-  // reads those slots at boundaries fixed before anything ran.
+  // below (commutative count sums) is identical for every jobs and
+  // stride — and so is the stop decision, which only reads those slots
+  // at boundaries fixed before anything ran.
   vm::VmOptions faulty = options.vm;
   faulty.max_steps = max_steps;
   faulty.track_touched_functions = caching;
   std::vector<WorkItem> work;
+  std::vector<vm::FaultSpec> faults;  // work[w]'s fault, index-aligned
   std::vector<std::uint8_t> outcomes;
   std::vector<std::uint64_t> touched;
   std::vector<std::uint64_t> rejoin_sites;
   std::vector<std::uint8_t> rejoined;
-  ThreadPool pool(options.jobs);
-  std::vector<std::unique_ptr<vm::Engine>> engines(
-      static_cast<std::size_t>(pool.workers()));
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::size_t width = batch_width(options.batch, options.vm);
-  const auto run_round = [&](const std::size_t round_begin) {
-    pool.parallel_for_indexed(
-        work.size() - round_begin,
-        [&, round_begin](int worker, std::size_t begin, std::size_t end) {
-          begin += round_begin;
-          end += round_begin;
-        auto& engine = engines[static_cast<std::size_t>(worker)];
-        if (engine == nullptr) {
-          engine = std::make_unique<vm::Engine>(decoded, faulty);
-        }
-        const auto record = [&](std::size_t w, const vm::VmResult& run) {
-          ProbeOutcome outcome;
-          if (run.status == vm::ExitStatus::kDetected) {
-            outcome = ProbeOutcome::kDetected;
-          } else if (!run.ok()) {
-            outcome = ProbeOutcome::kCrashed;
-          } else if (run.output == golden.output) {
-            outcome = ProbeOutcome::kBenign;
-          } else {
-            outcome = ProbeOutcome::kSdc;
-          }
-          outcomes[w] = static_cast<std::uint8_t>(outcome);
-          if (caching) {
-            touched[w] = run.touched_functions;
-            rejoined[w] = run.rejoined ? 1 : 0;
-            rejoin_sites[w] = run.rejoin_site;
-          }
-        };
-        if (width <= 1) {
-          for (std::size_t w = begin; w < end; ++w) {
-            vm::FaultSpec fault;
-            fault.site = work[w].site;
-            fault.bit = work[w].bit;
-            fault.burst = options.burst;
-            const vm::VmResult run =
-                fast_forward ? engine->run_from(ckpts, faulty, &fault, 1)
-                             : engine->run(faulty, &fault, 1);
-            record(w, run);
-          }
-          return;
-        }
-        std::vector<vm::FaultSpec> group(width);
-        std::vector<vm::Engine::BatchTrial> lanes(width);
-        std::vector<vm::VmResult> runs(width);
-        for (std::size_t base = begin; base < end; base += width) {
-          const std::size_t n = std::min(width, end - base);
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            group[lane].site = work[base + lane].site;
-            group[lane].bit = work[base + lane].bit;
-            group[lane].burst = options.burst;
-            lanes[lane].faults = &group[lane];
-            lanes[lane].fault_count = 1;
-          }
-          engine->run_batch(fast_forward ? &ckpts : nullptr, faulty,
-                            lanes.data(), n, runs.data());
-          for (std::size_t lane = 0; lane < n; ++lane) {
-            record(base + lane, runs[lane]);
-          }
-        }
-      });
+  TrialExecutor executor(decoded, ckpts, fast_forward, faulty, options.jobs);
+  const auto record = [&](std::size_t w, const vm::VmResult& run) {
+    outcomes[w] = static_cast<std::uint8_t>(probe_outcome(run, golden.output));
+    if (caching) {
+      touched[w] = run.touched_functions;
+      rejoined[w] = run.rejoined ? 1 : 0;
+      rejoin_sites[w] = run.rejoin_site;
+    }
   };
   while (true) {
     // Collect every active section's next block into one flat round.
@@ -619,20 +554,26 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
       }
     }
     if (work.size() == round_begin) break;
-    // Site-ascending within the round so one worker's consecutive
-    // lockstep lanes share most of their golden-walk prefix.
+    // Site-ascending within the round so each worker's chunk covers a
+    // narrow stretch of the golden walk.
     std::stable_sort(work.begin() + static_cast<std::ptrdiff_t>(round_begin),
                      work.end(),
                      [](const WorkItem& a, const WorkItem& b) {
                        return a.site < b.site;
                      });
+    faults.resize(work.size());
+    for (std::size_t w = round_begin; w < work.size(); ++w) {
+      faults[w].site = work[w].site;
+      faults[w].bit = work[w].bit;
+      faults[w].burst = options.burst;
+    }
     outcomes.resize(work.size(), 0);
     if (caching) {
       touched.resize(work.size(), 0);
       rejoin_sites.resize(work.size(), 0);
       rejoined.resize(work.size(), 0);
     }
-    run_round(round_begin);
+    executor.run(faults, 1, round_begin, work.size(), record);
     // Tally the round into each section's running counts, then evaluate
     // each active section's rule at the boundary it just reached.
     for (std::size_t w = round_begin; w < work.size(); ++w) {
@@ -653,14 +594,8 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
       if (budget_done || pinned) st.active = false;
     }
   }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  report.ckpt.describe(ckpts, fast_forward);
-  for (const auto& engine : engines) {
-    if (engine != nullptr) report.ckpt.ff.merge(engine->stats());
-  }
+  report.wall_seconds = executor.wall_seconds();
+  report.ckpt = executor.telemetry();
   report.trials_executed = work.size();
 
   // Per-section reduction of the cold work, then the composition fold.

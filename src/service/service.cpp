@@ -237,8 +237,8 @@ std::shared_ptr<const SharedProgramState> Daemon::program_state(
     const std::shared_ptr<const masm::AsmProgram>& program,
     const std::string& program_sha256, bool store_data) {
   // The golden run depends on fault_store_data (it renumbers the dynamic
-  // FI sites), so it shares only within the same setting. Engine knobs
-  // (stride/dispatch) are result-invariant and deliberately absent.
+  // FI sites), so it shares only within the same setting. The stride is
+  // result-invariant and deliberately absent.
   const std::string key = program_sha256 + (store_data ? "+sd" : "");
   {
     std::unique_lock<std::mutex> lock(prepared_mutex_);
@@ -286,11 +286,6 @@ void Daemon::execute(Task& task) {
     std::string validation_error;
     if (!fault::validate_cell(cell, validation_error)) {
       outcome.error = validation_error;
-      finish(task, std::move(outcome));
-      return;
-    }
-    if (cell.dispatch == "threaded" && !vm::threaded_dispatch_available()) {
-      outcome.error = "this build has no threaded dispatch";
       finish(task, std::move(outcome));
       return;
     }

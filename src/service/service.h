@@ -1,7 +1,7 @@
 // ferrumd — fault-injection-as-a-service. A long-running daemon that
 // accepts *jobs* (lists of campaign cells, see fault/cell.h), executes
 // them on a work-stealing pool of service workers (each cell reusing the
-// predecode + checkpoint + batch campaign machinery underneath), and
+// predecode + checkpoint + golden-walk campaign machinery underneath), and
 // fronts everything with the content-addressed result cache: a cell
 // whose key was already computed — by this job, an earlier job, or a
 // daemon that shared the cache directory — is answered from the store

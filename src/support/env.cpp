@@ -83,10 +83,6 @@ int env_ckpt_stride(int fallback) {
   return env_int("FERRUM_CKPT_STRIDE", fallback, /*min_value=*/0);
 }
 
-int env_batch(int fallback) {
-  return env_int("FERRUM_BATCH", fallback, /*min_value=*/1);
-}
-
 double env_ci_target(double fallback) {
   return env_double("FERRUM_CI_TARGET", fallback, /*min_value=*/0.0,
                     /*max_value=*/0.5);

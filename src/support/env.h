@@ -51,15 +51,9 @@ int env_jobs();
 
 /// FERRUM_CKPT_STRIDE — golden-run checkpoint stride (in dynamic FI
 /// sites) for campaign/audit fast-forwarding. Floor 0: zero disables
-/// checkpointing (cold trials). Like FERRUM_JOBS, the value only moves
+/// checkpointing (cold walks). Like FERRUM_JOBS, the value only moves
 /// wall-clock time — results are bit-identical for every stride.
 int env_ckpt_stride(int fallback = 64);
-
-/// FERRUM_BATCH — lockstep batch width for campaign/audit trial
-/// execution (vm::Engine::run_batch lanes per call). Floor 1: one lane
-/// is the scalar path. Like FERRUM_JOBS and FERRUM_CKPT_STRIDE the knob
-/// only moves wall-clock time; results are bit-identical for any width.
-int env_batch(int fallback = 8);
 
 /// FERRUM_CI_TARGET — adaptive stop-rule target: the campaign stops at
 /// the first power-of-two boundary where every outcome-rate Wilson

@@ -32,11 +32,9 @@ Json ckpt_json(const vm::CheckpointTelemetry& ckpt) {
   json["steps_skipped"] = ckpt.ff.steps_skipped;
   json["steps_executed"] = ckpt.ff.steps_executed;
   json["fast_forward_ratio"] = ckpt.ff.ratio();
-  // Lockstep batching accounting (zero when FERRUM_BATCH <= 1): batches
-  // dispatched, lanes carried, and shared prefix-walk steps that scalar
-  // execution would have re-run once per lane.
-  json["batches"] = ckpt.ff.batches;
-  json["lanes"] = ckpt.ff.lanes;
+  // The golden walk: runs forked off it, and the fault-free steps it
+  // interpreted to reach the runs' fork points.
+  json["forks"] = ckpt.ff.forks;
   json["walk_steps"] = ckpt.ff.walk_steps;
   // Trials whose golden-identical tail was elided by the rejoin
   // comparison (the elided steps count under steps_skipped).

@@ -16,9 +16,13 @@
 //    checkpoint are copied). The engine keeps the pages dirtied since
 //    its last restore or capture and the pages with provenance as lists,
 //    so capture, restore and the rejoin compare walk those lists and the
-//    target's entries, never the whole arena. A faulty trial restores
-//    the nearest checkpoint at-or-before its first fault site and
-//    executes only the suffix.
+//    target's entries, never the whole arena.
+//
+// Every faulty trial runs on the golden walk (Engine::walk): a worker's
+// trials in fault-site order share one fault-free walk through the
+// golden stream, restored from the nearest checkpoint at-or-before a
+// trial's first fault site whenever the walk is not already there, and
+// each trial executes only its suffix from its fork point.
 //
 // Determinism contract (asserted by tests/test_engine.cpp, not just
 // claimed): a fast-forwarded trial is bit-identical to cold execution —
@@ -37,6 +41,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -48,9 +53,9 @@ namespace ferrum::vm {
 /// Dispatch tag of one predecoded instruction. Values below
 /// masm::kOpCount are the instruction's own Op, executed singly; the
 /// remaining tags mark the end-of-function sentinel, decode-rejected
-/// operand widths, and the fused superinstruction pairs used by the
-/// threaded dispatch loop. Tags are part of the decode, so the fusion
-/// decision is paid once per campaign, never per trial.
+/// operand widths, and the fused superinstruction pairs of the
+/// interpreter loop. Tags are part of the decode, so the fusion decision
+/// is paid once per campaign, never per trial.
 enum : std::uint8_t {
   kTagSentinel = static_cast<std::uint8_t>(masm::kOpCount),
   /// An operand carries a width the VM does not define (anything other
@@ -88,9 +93,7 @@ struct DecodedInst {
   std::int32_t fidx = 0;
   std::int32_t bidx = 0;
   std::int32_t iidx = 0;
-  /// Dispatch tag (see the enum above). The switch loop dispatches on
-  /// inst->op and only consults the tag for kTagBadWidth; the threaded
-  /// loop dispatches on the tag alone.
+  /// Dispatch tag (see the enum above); the loop dispatches on it alone.
   std::uint8_t tag = kTagSentinel;
 };
 
@@ -247,28 +250,31 @@ class CheckpointSet {
 /// bench artifacts, keeping the metrics sections byte-identical across
 /// FERRUM_CKPT_STRIDE values.
 struct FastForwardStats {
-  std::uint64_t trials = 0;         // runs executed by this engine
-  std::uint64_t restores = 0;       // trials that restored a checkpoint
-  std::uint64_t steps_skipped = 0;  // golden-prefix steps not re-executed
-  std::uint64_t steps_executed = 0; // suffix steps actually interpreted
-  // Lockstep batch accounting (run_batch only). walk_steps counts the
-  // shared golden-walk instructions each batch interpreted once on
-  // behalf of all its lanes — the amortised replay cost.
-  std::uint64_t batches = 0;
-  std::uint64_t lanes = 0;
-  std::uint64_t walk_steps = 0;
+  // The ledger of the golden walk (Engine::walk). The walk interprets
+  // the fault-free golden stream from a restored checkpoint or the cold
+  // start up to each run's fork point, the instruction boundary where
+  // fi_sites reaches the run's first fault site; walk_steps counts those
+  // steps once, shared by every run that forks off them. A run then
+  // interprets its own steps from its fork point: steps_executed ==
+  // prefix_steps + post_fault_steps, split at its first fault. Its steps
+  // before the fork point and the golden tail it adopted by rejoining
+  // count under steps_skipped, so steps_skipped + steps_executed sums the
+  // runs' steps.
+  std::uint64_t trials = 0;         // runs finished by this engine
+  std::uint64_t restores = 0;       // checkpoints the walk restored
+  std::uint64_t forks = 0;          // runs forked off the walk
+  std::uint64_t walk_steps = 0;     // golden-walk steps to fork points
+  std::uint64_t steps_skipped = 0;  // run steps not interpreted by the run
+  std::uint64_t steps_executed = 0; // run steps interpreted from the fork
   // Trials whose state re-converged to a golden checkpoint after the
   // last fault fired, so the remaining tail was adopted from the golden
   // summary instead of re-executed. Those elided steps count under
   // steps_skipped.
   std::uint64_t rejoins = 0;
-  // Trial-cost ledger: steps_executed split at each run's first fault,
-  // so prefix_steps + post_fault_steps == steps_executed. prefix_steps
-  // run from the restored checkpoint or cold start up to and including
-  // the faulting instruction (a batch lane starts at its fork point; the
-  // shared walk before it is walk_steps); a run whose fault never fired
-  // is all prefix. unrejoined_halts counts the faulted runs that reached
-  // halt without rejoining — they interpreted their whole suffix — and
+  // prefix_steps run from the fork point up to and including the
+  // faulting instruction; a run whose fault never fired is all prefix.
+  // unrejoined_halts counts the faulted runs that reached halt without
+  // rejoining — they interpreted their whole suffix — and
   // unrejoined_halt_steps is their share of post_fault_steps.
   std::uint64_t prefix_steps = 0;
   std::uint64_t post_fault_steps = 0;
@@ -294,11 +300,10 @@ struct FastForwardStats {
   void merge(const FastForwardStats& other) {
     trials += other.trials;
     restores += other.restores;
+    forks += other.forks;
+    walk_steps += other.walk_steps;
     steps_skipped += other.steps_skipped;
     steps_executed += other.steps_executed;
-    batches += other.batches;
-    lanes += other.lanes;
-    walk_steps += other.walk_steps;
     rejoins += other.rejoins;
     prefix_steps += other.prefix_steps;
     post_fault_steps += other.post_fault_steps;
@@ -353,46 +358,52 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Cold run from the initial state (equivalent to vm::run_multi).
+  /// Cold run from the initial state (equivalent to vm::run_multi): a
+  /// one-run walk without checkpoints.
   VmResult run(const VmOptions& options, const FaultSpec* faults,
                std::size_t fault_count);
 
   /// Golden run that captures a checkpoint every `stride` dynamic FI
-  /// sites (plus one at site 0). Must be fault-free usage: pass no
-  /// faults to the subsequent run_from calls that predate the capture
-  /// options — i.e. capture and trials must agree on fault_store_data.
+  /// sites (plus one at site 0), pausing at each capture boundary. Trials
+  /// that resume from the set must agree with the capture on
+  /// fault_store_data.
   VmResult run_capturing(const VmOptions& options, std::uint64_t stride,
                          CheckpointSet& out);
 
-  /// Faulty trial fast-forwarded from the nearest checkpoint at-or-
-  /// before the first fault site. `checkpoints` must come from a
+  /// One faulty trial: a one-run walk from the nearest checkpoint
+  /// at-or-before its first fault site. `checkpoints` must come from a
   /// run_capturing on the same program with the same fault_store_data
-  /// setting; options must not enable profile/timing/trace (those need
-  /// the prefix — callers fall back to run()).
+  /// setting.
   VmResult run_from(const CheckpointSet& checkpoints, const VmOptions& options,
                     const FaultSpec* faults, std::size_t fault_count);
 
-  /// One lane of a lockstep batch: the fault set of a single trial.
-  struct BatchTrial {
+  /// The fault set of one run of a walk.
+  struct Trial {
     const FaultSpec* faults = nullptr;
     std::size_t fault_count = 0;
   };
+  /// Receives each finished run: its index in the walk's trial array and
+  /// its result, which the sink may move from.
+  using TrialSink = std::function<void(std::size_t, VmResult&)>;
 
-  /// Lockstep batched trials: all `count` lanes share one golden walk
-  /// through the decode stream. Lanes are ordered by first fault site;
-  /// the walk advances fault-free to each lane's site (hopping through
-  /// `checkpoints` when one is nearer than the current position), forks
-  /// the lane there — registers saved, memory writes journalled
-  /// copy-on-first-write — runs the faulty suffix to completion, then
-  /// unforks and continues. Each result is bit-identical to the scalar
-  /// run()/run_from() outcome: the walk state at site S is the cold
-  /// trial's state at S (same determinism argument as checkpoints).
-  /// `checkpoints` may be null/empty (cold walk). Options requiring the
-  /// full per-trial prefix (profile/timing/trace) fall back to scalar
-  /// execution per lane.
-  void run_batch(const CheckpointSet* checkpoints, const VmOptions& options,
-                 const BatchTrial* trials, std::size_t count,
-                 VmResult* results);
+  /// The golden walk, the one way a trial runs: all `count` runs share
+  /// one fault-free walk through the golden instruction stream. Runs go
+  /// in ascending first fault site (ties in input order). The walk
+  /// starts at the first run's resume point — the nearest checkpoint
+  /// at-or-before its site, or the cold start — and advances fault-free
+  /// to the run's fork point, the first boundary where fi_sites reaches
+  /// its site; the run executes its faults from there to the end. A run
+  /// forks (registers saved, memory writes journalled copy-on-first-
+  /// write, undone afterwards) only when the next run continues the walk
+  /// from this fork point, because its own resume point is not ahead of
+  /// it; otherwise it runs in place and the next run restores its
+  /// checkpoint. Each result is bit-identical to a cold run of the same
+  /// fault set: the walk state at site S is the cold run's state at S.
+  /// `checkpoints` may be null or empty (a cold walk). Runs with profile,
+  /// timing or trace on run the hooked loop; their hook state starts cold
+  /// and cannot fork, so each of them runs in place from the cold start.
+  void walk(const CheckpointSet* checkpoints, const VmOptions& options,
+            const Trial* trials, std::size_t count, const TrialSink& sink);
 
   /// While `sink` is non-null, every dynamic FI site registered by
   /// subsequent runs appends the flat pc of its instruction — the

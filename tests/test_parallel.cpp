@@ -7,9 +7,11 @@
 #include <vector>
 
 #include "check/prune.h"
+#include "fault/audit.h"
 #include "fault/campaign.h"
 #include "pipeline/pipeline.h"
 #include "support/parallel.h"
+#include "telemetry/export.h"
 
 namespace ferrum {
 namespace {
@@ -145,13 +147,13 @@ TEST(ThreadPoolTest, CheckpointedCampaignSharesSnapshotsAcrossWorkers) {
   EXPECT_GT(parallel.ckpt.ff.restores, 0u);
 }
 
-TEST(ThreadPoolTest, BatchedCampaignIsBatchAndJobsInvariant) {
-  // TSan-preset coverage for the lockstep batch walk and golden rejoin:
-  // each worker's Engine hands batches of lanes to run_batch while
-  // reading the shared CheckpointSet (including its GoldenSummary for
-  // rejoin comparisons) concurrently with every other worker. The
-  // batched multi-worker campaign must reproduce the scalar
-  // single-worker result exactly.
+TEST(ThreadPoolTest, GoldenWalksAreJobsInvariant) {
+  // TSan-preset coverage for the golden walk: each worker's Engine walks
+  // its chunk while reading the shared CheckpointSet (including its
+  // GoldenSummary for rejoin comparisons) concurrently with every other
+  // worker. A pruned audit is a dense plan whose walks fork; a sampled
+  // campaign is a sparse one whose lanes mostly restore. Each must be
+  // byte-identical at jobs 1 and 4.
   auto build = pipeline::build(R"(
     int main() {
       int s = 0;
@@ -159,22 +161,31 @@ TEST(ThreadPoolTest, BatchedCampaignIsBatchAndJobsInvariant) {
       print_int(s);
       return 0;
     })", pipeline::Technique::kFerrum);
-  fault::CampaignOptions options;
-  options.trials = 96;
-  options.ckpt_stride = 4;
-  options.batch = 1;
-  options.vm.golden_rejoin = false;
-  options.jobs = 1;
-  const auto serial = fault::run_campaign(build.program, options);
-  options.batch = 8;
-  options.vm.golden_rejoin = true;
-  options.jobs = 8;
-  const auto batched = fault::run_campaign(build.program, options);
-  EXPECT_EQ(serial.counts, batched.counts);
-  EXPECT_EQ(serial.sdc_breakdown, batched.sdc_breakdown);
-  EXPECT_EQ(serial.latency_sum, batched.latency_sum);
-  EXPECT_GT(batched.ckpt.ff.batches, 0u);
-  EXPECT_GT(batched.ckpt.ff.lanes, batched.ckpt.ff.batches);
+  const check::prune::PruneReport prune =
+      check::prune::prune_program(build.program);
+  fault::AuditOptions audit;
+  audit.ckpt_stride = 4;
+  audit.prune = &prune;
+  fault::CampaignOptions campaign;
+  campaign.trials = 96;
+  campaign.ckpt_stride = 4;
+  std::string audit_truth;
+  std::string campaign_truth;
+  for (const int jobs : {1, 4}) {
+    audit.jobs = jobs;
+    const auto audited = fault::audit_program(build.program, audit);
+    campaign.jobs = jobs;
+    const auto sampled = fault::run_campaign(build.program, campaign);
+    if (jobs == 1) {
+      audit_truth = telemetry::to_json(audited).dump();
+      campaign_truth = telemetry::to_json(sampled).dump();
+      EXPECT_GT(audited.ckpt.ff.forks, 0u);
+      continue;
+    }
+    EXPECT_EQ(audit_truth, telemetry::to_json(audited).dump());
+    EXPECT_EQ(campaign_truth, telemetry::to_json(sampled).dump());
+    EXPECT_GT(sampled.ckpt.ff.restores, 0u);
+  }
 }
 
 TEST(ThreadPoolTest, PrunedCampaignIsJobsInvariant) {
@@ -210,12 +221,12 @@ TEST(ThreadPoolTest, PrunedCampaignIsJobsInvariant) {
   EXPECT_LT(parallel.prune.pilot_runs, 96u);  // pruning actually pruned
 }
 
-TEST(ThreadPoolTest, AdaptiveCampaignIsJobsAndBatchInvariant) {
+TEST(ThreadPoolTest, AdaptiveCampaignIsJobsInvariant) {
   // TSan-preset coverage for the adaptive stop rule: the boundary loop
   // joins the pool after every block, then reads each trial's outcome
   // slot from the calling thread — the determinism contract (and the
   // happens-before edge behind it) is that the stopped count and every
-  // counter agree across workers and lockstep widths. A shared
+  // counter agree across workers. A shared
   // PreparedCampaign rides along, read concurrently by all workers, to
   // mirror the service's cross-cell reuse under the race detector.
   auto build = pipeline::build(R"(
@@ -230,14 +241,12 @@ TEST(ThreadPoolTest, AdaptiveCampaignIsJobsAndBatchInvariant) {
   options.max_half_width = 0.05;
   options.ckpt_stride = 4;
   options.jobs = 1;
-  options.batch = 1;
   const auto serial = fault::run_campaign(build.program, options);
   ASSERT_TRUE(serial.adaptive.stopped_early);
   const fault::PreparedCampaign prepared(build.program, options.vm,
                                          /*ckpt_stride=*/4);
   for (const int jobs : {2, 8}) {
     options.jobs = jobs;
-    options.batch = 8;
     options.prepared = &prepared;
     const auto parallel = fault::run_campaign(build.program, options);
     EXPECT_EQ(serial.adaptive.executed_trials,

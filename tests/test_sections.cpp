@@ -3,7 +3,7 @@
 // dataflow interface consistent with liveness), the ferrum-section-v1
 // key contract (pinned material bytes), the composition rule (composed
 // counts must equal the monolithic audit's exactly, strided or not),
-// scheduling invariance (jobs x batch byte-equal JSON), and the
+// scheduling invariance (byte-equal JSON across jobs), and the
 // incremental mode end to end: editing one MiniC function re-campaigns
 // only the sections whose code or dependency certificates changed,
 // answers the rest warm with zero engine trials, and composes a result
@@ -299,20 +299,16 @@ TEST(Compose, SummariesAreSchedulingInvariant) {
   const SectionMap map = check::sections::build_sections(build.program);
   std::string reference;
   for (const int jobs : {1, 2, 8}) {
-    for (const int batch : {1, 8}) {
-      fault::ComposeOptions options;
-      options.trials = 96;
-      options.jobs = jobs;
-      options.batch = batch;
-      const fault::ComposeReport report =
-          fault::compose_campaign(build.program, map, options);
-      const std::string dump = telemetry::to_json(report).dump();
-      if (reference.empty()) {
-        reference = dump;
-      } else {
-        EXPECT_EQ(dump, reference)
-            << "compose diverged at jobs=" << jobs << " batch=" << batch;
-      }
+    fault::ComposeOptions options;
+    options.trials = 96;
+    options.jobs = jobs;
+    const fault::ComposeReport report =
+        fault::compose_campaign(build.program, map, options);
+    const std::string dump = telemetry::to_json(report).dump();
+    if (reference.empty()) {
+      reference = dump;
+    } else {
+      EXPECT_EQ(dump, reference) << "compose diverged at jobs=" << jobs;
     }
   }
   EXPECT_FALSE(reference.empty());
@@ -321,7 +317,7 @@ TEST(Compose, SummariesAreSchedulingInvariant) {
 TEST(Compose, AdaptiveStopsPerSectionDeterministically) {
   // The stop rule shrinks each section's budget independently, and every
   // stopped count is a pure function of the section key (which includes
-  // max_half_width): jobs x batch must not move a single byte of the
+  // max_half_width): jobs must not move a single byte of the
   // composed JSON, and a warm pass over early-stopped summaries must
   // reproduce the composed result without re-running anything.
   const auto build =
@@ -352,27 +348,23 @@ TEST(Compose, AdaptiveStopsPerSectionDeterministically) {
   const std::string reference = telemetry::to_json(first).dump();
 
   for (const int jobs : {2, 8}) {
-    for (const int batch : {1, 8}) {
-      // A fresh memory-only cache per combination: cold execution, but
-      // the same summary shape (the `key` field rides with caching).
-      service::ResultCache fresh("");
-      fault::ComposeOptions knobs;
-      knobs.trials = options.trials;
-      knobs.max_half_width = options.max_half_width;
-      knobs.jobs = jobs;
-      knobs.batch = batch;
-      knobs.lookup = [&fresh](const std::string& key) {
-        return fresh.lookup(key);
-      };
-      knobs.store = [&fresh](const std::string& key,
-                             const std::string& bytes) {
-        fresh.store(key, bytes, /*replace=*/true);
-      };
-      const fault::ComposeReport report =
-          fault::compose_campaign(build.program, map, knobs);
-      EXPECT_EQ(telemetry::to_json(report).dump(), reference)
-          << "jobs=" << jobs << " batch=" << batch;
-    }
+    // A fresh memory-only cache per run: cold execution, but the same
+    // summary shape (the `key` field rides with caching).
+    service::ResultCache fresh("");
+    fault::ComposeOptions knobs;
+    knobs.trials = options.trials;
+    knobs.max_half_width = options.max_half_width;
+    knobs.jobs = jobs;
+    knobs.lookup = [&fresh](const std::string& key) {
+      return fresh.lookup(key);
+    };
+    knobs.store = [&fresh](const std::string& key, const std::string& bytes) {
+      fresh.store(key, bytes, /*replace=*/true);
+    };
+    const fault::ComposeReport report =
+        fault::compose_campaign(build.program, map, knobs);
+    EXPECT_EQ(telemetry::to_json(report).dump(), reference)
+        << "jobs=" << jobs;
   }
 
   // Warm: the early-stopped summaries answer from the cache (planned

@@ -138,16 +138,14 @@ TEST(CellKey, ResultAffectingKnobsChangeTheKey) {
 }
 
 TEST(CellKey, EngineKnobsAreNotKeyMaterial) {
-  // jobs / ckpt_stride / batch / dispatch are proven result-invariant
-  // (tests/test_engine.cpp byte-compares campaign JSON across them), so
-  // a warm query with different engine knobs must still hit the store.
+  // jobs / ckpt_stride are proven result-invariant (tests/test_engine.cpp
+  // byte-compares campaign JSON across them), so a warm query with
+  // different engine knobs must still hit the store.
   const CampaignCell base;
   const std::string base_material = fault::cell_key_material(base, kEmptySha);
   CampaignCell cell = base;
   cell.jobs = 8;
   cell.ckpt_stride = 0;
-  cell.batch = 1;
-  cell.dispatch = "switch";
   EXPECT_EQ(fault::cell_key_material(cell, kEmptySha), base_material);
 }
 
@@ -176,9 +174,6 @@ TEST(CellKey, ValidateCellRejectsBadSpecs) {
   cell.technique = "tmr";
   EXPECT_FALSE(fault::validate_cell(cell, error));
   cell.technique = "ferrum";
-  cell.dispatch = "tokenized";
-  EXPECT_FALSE(fault::validate_cell(cell, error));
-  cell.dispatch = "auto";
   cell.trials = 0;
   EXPECT_FALSE(fault::validate_cell(cell, error));
   cell.trials = 10;
@@ -255,8 +250,6 @@ TEST(Proto, CellJsonRoundTrip) {
   cell.store_data = true;
   cell.jobs = 4;
   cell.ckpt_stride = 16;
-  cell.batch = 2;
-  cell.dispatch = "switch";
   cell.max_half_width = 0.03;
   CampaignCell parsed;
   std::string error;
@@ -273,8 +266,6 @@ TEST(Proto, CellJsonRoundTrip) {
   EXPECT_EQ(parsed.store_data, cell.store_data);
   EXPECT_EQ(parsed.jobs, cell.jobs);
   EXPECT_EQ(parsed.ckpt_stride, cell.ckpt_stride);
-  EXPECT_EQ(parsed.batch, cell.batch);
-  EXPECT_EQ(parsed.dispatch, cell.dispatch);
   EXPECT_EQ(parsed.max_half_width, cell.max_half_width);
 }
 
@@ -288,7 +279,6 @@ TEST(Proto, CellJsonFillsDefaultsForAbsentKeys) {
   EXPECT_EQ(cell.trials, defaults.trials);
   EXPECT_EQ(cell.seed, defaults.seed);
   EXPECT_EQ(cell.technique, defaults.technique);
-  EXPECT_EQ(cell.dispatch, defaults.dispatch);
 }
 
 TEST(Proto, CellJsonIsStrict) {
@@ -330,7 +320,7 @@ TEST(Proto, CellJsonRejectsWrongTypeForEveryKnownKey) {
     }
   };
   for (const char* key : {"scale", "trials", "seed", "faults_per_run",
-                          "burst", "jobs", "ckpt_stride", "batch"}) {
+                          "burst", "jobs", "ckpt_stride"}) {
     telemetry::Json as_string = base();
     as_string[key] = "100";
     rejects(std::move(as_string));
@@ -344,7 +334,7 @@ TEST(Proto, CellJsonRejectsWrongTypeForEveryKnownKey) {
     as_object[key] = telemetry::Json::object();
     rejects(std::move(as_object));
   }
-  for (const char* key : {"program", "workload", "technique", "dispatch"}) {
+  for (const char* key : {"program", "workload", "technique"}) {
     telemetry::Json as_int = base();
     as_int[key] = static_cast<std::int64_t>(3);
     rejects(std::move(as_int));
@@ -376,7 +366,7 @@ TEST(Proto, CellJsonRejectsOutOfRangeAndNegativeIntegers) {
   rejects(std::move(wide));
   telemetry::Json huge = telemetry::Json::object();
   huge["workload"] = "bfs";
-  huge["batch"] = static_cast<std::uint64_t>(1) << 40;
+  huge["jobs"] = static_cast<std::uint64_t>(1) << 40;
   rejects(std::move(huge));
   telemetry::Json low = telemetry::Json::object();
   low["workload"] = "bfs";
@@ -518,8 +508,6 @@ TEST(Service, WarmAcrossEngineKnobs) {
   CampaignCell retuned = tiny_cell();
   retuned.jobs = 1;
   retuned.ckpt_stride = 0;
-  retuned.batch = 1;
-  retuned.dispatch = "switch";
   const std::uint64_t warm_job = daemon.submit({retuned});
   const service::CellOutcome* warm = daemon.wait_cell(warm_job, 0);
   ASSERT_NE(warm, nullptr);
@@ -802,6 +790,39 @@ TEST(ServiceSocket, RejectsMalformedRequestsButStaysUsable) {
       *job, [&](const service::CellResult&) { ++streamed; }, error))
       << error;
   EXPECT_EQ(streamed, 1u);
+}
+
+TEST(ServiceSocket, RetiredEngineKnobsAreUnknownFields) {
+  // `batch` and `dispatch` were engine knobs that never changed a result;
+  // both are gone, and a cell that still carries one gets the strict
+  // parser's unknown-field error naming it. The daemon answers on.
+  ServedDaemon served(1);
+  std::string error;
+  Conn raw = connect_unix(served.socket_path, &error);
+  ASSERT_TRUE(raw.valid()) << error;
+  service::Frame reply;
+  for (const auto& [field, value] :
+       {std::pair<const char*, telemetry::Json>{
+            "batch", telemetry::Json(static_cast<std::int64_t>(8))},
+        {"dispatch", telemetry::Json("threaded")}}) {
+    telemetry::Json cell = service::cell_to_json(tiny_cell(20));
+    cell[field] = value;
+    telemetry::Json cells = telemetry::Json::array();
+    cells.push_back(cell);
+    telemetry::Json submit = telemetry::Json::object();
+    submit["cells"] = cells;
+    ASSERT_TRUE(service::write_frame(raw, service::MsgType::kSubmit, submit));
+    ASSERT_TRUE(service::read_frame(raw, reply));
+    EXPECT_EQ(reply.type, service::MsgType::kError);
+    EXPECT_NE(reply.payload.find(std::string("unknown cell field '") + field +
+                                 "'"),
+              std::string::npos)
+        << reply.payload;
+  }
+  ASSERT_TRUE(service::write_frame(raw, service::MsgType::kHello,
+                                   std::string_view("{}")));
+  ASSERT_TRUE(service::read_frame(raw, reply));
+  EXPECT_EQ(reply.type, service::MsgType::kHelloReply);
 }
 
 TEST(ServiceSocket, DeeplyNestedInputsGetErrorsAndTheDaemonAnswersOn) {
