@@ -881,5 +881,40 @@ TEST(ServiceSocket, DeeplyNestedInputsGetErrorsAndTheDaemonAnswersOn) {
   EXPECT_EQ(answered, 1u);
 }
 
+TEST(ServiceSocket, AWrappingAddressGetsAReplyAndTheDaemonAnswersOn) {
+  // An inline-MiniC cell whose golden run addresses 2^64 - 4, where
+  // `addr + size` wraps: the access used to reach past the VM's arena
+  // and kill the daemon. It is now a memory trap, so the cell gets a
+  // reply and the daemon answers the next request.
+  ServedDaemon served(1);
+  std::string error;
+  service::Client client =
+      service::Client::connect(served.socket_path, error);
+  ASSERT_TRUE(client.valid()) << error;
+  CampaignCell wrapping = tiny_cell(20);
+  wrapping.program =
+      "int a[4]; int main() { int i = -1025; print_int(a[i]); return 0; }";
+  const auto job = client.submit({wrapping}, error);
+  ASSERT_TRUE(job.has_value()) << error;
+  std::size_t replies = 0;
+  ASSERT_TRUE(client.results(
+      *job, [&](const service::CellResult&) { ++replies; }, error))
+      << error;
+  EXPECT_EQ(replies, 1u);
+
+  const auto next = client.submit({tiny_cell(25)}, error);
+  ASSERT_TRUE(next.has_value()) << error;
+  std::size_t answered = 0;
+  EXPECT_TRUE(client.results(
+      *next,
+      [&](const service::CellResult& r) {
+        EXPECT_TRUE(r.error.empty()) << r.error;
+        ++answered;
+      },
+      error))
+      << error;
+  EXPECT_EQ(answered, 1u);
+}
+
 }  // namespace
 }  // namespace ferrum
