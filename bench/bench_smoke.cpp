@@ -189,7 +189,8 @@ void check_flow_accuracy(Json& artifact) {
 }
 
 /// Schema + invariant check on bench_vm's telemetry: the wallclock
-/// section must carry the per-technique interpreter and campaign rates
+/// section must carry the per-technique interpreter rates (median and
+/// best, with `none`, IR-EDDI and FERRUM rows), the campaign rates
 /// and the pruned-audit probe rate, and the metrics section must assert
 /// that the hooked and bare loop instances and the cold and checkpointed
 /// campaigns agree exactly.
@@ -217,10 +218,18 @@ void check_bench_vm(const Json& artifact) {
   if (interpreter == nullptr || interpreter->fields().empty()) {
     fail("bench_vm wallclock lacks a populated 'interpreter' section");
   } else {
+    for (const char* technique : {"none", "ir-level-eddi", "ferrum"}) {
+      if (interpreter->find(technique) == nullptr) {
+        fail(std::string("bench_vm interpreter lacks a '") + technique +
+             "' row");
+      }
+    }
     for (const auto& [technique, row] : interpreter->fields()) {
-      if (row.find("minst_per_second") == nullptr) {
-        fail("bench_vm interpreter['" + technique +
-             "'] lacks 'minst_per_second'");
+      for (const char* key : {"minst_per_second", "best_minst_per_second"}) {
+        if (row.find(key) == nullptr) {
+          fail("bench_vm interpreter['" + technique + "'] lacks '" + key +
+               "'");
+        }
       }
     }
   }
@@ -249,6 +258,28 @@ void check_bench_vm(const Json& artifact) {
   const Json* ferrum = audit != nullptr ? audit->find("ferrum") : nullptr;
   if (ferrum == nullptr || ferrum->find("probes_per_second") == nullptr) {
     fail("bench_vm wallclock lacks audit.ferrum.probes_per_second");
+  }
+}
+
+/// Schema check on trial_ledger's tail rates: the `none` and IR-EDDI
+/// technique rows carry the best-repetition and median tail rates.
+void check_trial_ledger(const Json& artifact) {
+  const Json* wallclock = artifact.find("wallclock");
+  const Json* techniques =
+      wallclock != nullptr ? wallclock->find("techniques") : nullptr;
+  if (techniques == nullptr) {
+    fail("trial_ledger wallclock lacks 'techniques'");
+    return;
+  }
+  for (const char* technique : {"none", "ir-level-eddi"}) {
+    const Json* row = techniques->find(technique);
+    for (const char* key :
+         {"tail_steps_per_second", "median_tail_steps_per_second"}) {
+      if (row == nullptr || row->find(key) == nullptr) {
+        fail(std::string("trial_ledger techniques['") + technique +
+             "'] lacks '" + key + "'");
+      }
+    }
   }
 }
 
@@ -390,6 +421,11 @@ int main(int argc, char** argv) {
 
   if (const auto vm = check_artifact(out_dir, "bench_vm"); vm.has_value()) {
     check_bench_vm(*vm);
+  }
+
+  if (const auto ledger = check_artifact(out_dir, "trial_ledger");
+      ledger.has_value()) {
+    check_trial_ledger(*ledger);
   }
 
   if (auto flow = check_artifact(out_dir, "analysis_flow_accuracy");
