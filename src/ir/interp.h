@@ -38,6 +38,8 @@ struct RunResult {
 
 struct InterpOptions {
   std::uint64_t max_steps = 200'000'000;
+  /// Arena size. Below 0x1000 (the unmapped first page) every run traps
+  /// kTrapMemory before its first instruction.
   std::size_t memory_bytes = 1u << 24;
   int max_call_depth = 256;
 };

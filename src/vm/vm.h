@@ -70,6 +70,8 @@ struct FaultLanding {
 
 struct VmOptions {
   std::uint64_t max_steps = 50'000'000;
+  /// Arena size. Below 0x1000 (the unmapped first page) every run traps
+  /// kTrapMemory before its first instruction.
   std::size_t memory_bytes = 1u << 24;
   /// Enumerate kStoreData fault sites. The paper's fault model injects
   /// into the *destination register* of instructions, and stores have
