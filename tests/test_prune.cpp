@@ -291,6 +291,63 @@ TEST(PruneDynamic, DeadBitsInvisibleUnderFerrumProtection) {
                              /*sample_cap=*/600);
 }
 
+/// One pruned-audit pin: what the pilot plan chose and what the
+/// extrapolated audit reported.
+struct AuditPin {
+  const char* name;
+  std::uint64_t pilot_keys;
+  std::uint64_t pilot_injections;
+  std::uint64_t extrapolated_probes;
+  std::uint64_t dead_probes;
+  /// injections, detected, crashed, benign.
+  std::uint64_t outcomes[4];
+  std::size_t escapes;
+};
+
+TEST(PruneDynamic, PrunedAuditsPinnedOnFerrumWorkloads) {
+  // The pilot plan picks one pilot per (class, effective bit, stratum)
+  // in probe order. How the plan finds a probe's pilot may change; which
+  // pilots it picks, and so every count below, may not.
+  const AuditPin pins[] = {
+      {"backprop", 60521, 60521, 1045836, 217667,
+       {1324024, 1101111, 3427, 219486}, 0},
+      {"bfs", 7832, 7832, 114786, 19002,
+       {141620, 122180, 339, 19101}, 0},
+      {"pathfinder", 34367, 34367, 566595, 97126,
+       {698088, 599239, 1585, 97264}, 0},
+      {"lud", 13129, 13129, 203666, 38301,
+       {255096, 216174, 511, 38411}, 0},
+      {"needle", 27464, 27464, 429439, 68269,
+       {525172, 453980, 1131, 70061}, 0},
+      {"knn", 20520, 20520, 350302, 80018,
+       {450840, 369206, 1266, 80368}, 0},
+      {"kmeans", 78213, 78213, 1322261, 237150,
+       {1637624, 1393143, 5169, 239312}, 0},
+      {"particlefilter", 90568, 90568, 1568956, 312348,
+       {1971872, 1652583, 5585, 313704}, 0},
+  };
+  for (const AuditPin& pin : pins) {
+    const auto build = pipeline::build(workloads::by_name(pin.name).source,
+                                       Technique::kFerrum);
+    const PruneReport prune = check::prune::prune_program(build.program);
+    fault::AuditOptions options;
+    options.prune = &prune;
+    const fault::AuditReport report =
+        fault::audit_program(build.program, options);
+    EXPECT_EQ(report.prune.pilot_keys, pin.pilot_keys) << pin.name;
+    EXPECT_EQ(report.prune.pilot_injections, pin.pilot_injections)
+        << pin.name;
+    EXPECT_EQ(report.prune.extrapolated_probes, pin.extrapolated_probes)
+        << pin.name;
+    EXPECT_EQ(report.prune.dead_probes, pin.dead_probes) << pin.name;
+    EXPECT_EQ(report.injections, pin.outcomes[0]) << pin.name;
+    EXPECT_EQ(report.detected, pin.outcomes[1]) << pin.name;
+    EXPECT_EQ(report.crashed, pin.outcomes[2]) << pin.name;
+    EXPECT_EQ(report.benign, pin.outcomes[3]) << pin.name;
+    EXPECT_EQ(report.escapes.size(), pin.escapes) << pin.name;
+  }
+}
+
 // --------------------------------------------------------- guard rails --
 
 TEST(PruneGuards, RejectsMultiFaultCampaigns) {
