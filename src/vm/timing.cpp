@@ -1,8 +1,7 @@
 #include "vm/timing.h"
 
 #include <algorithm>
-
-#include "masm/cfg.h"
+#include <bit>
 
 namespace ferrum::vm {
 
@@ -43,6 +42,13 @@ TimingModel::TimingModel(const TimingParams& params) : params_(params) {
   params_.vec_units = clamp_units(params_.vec_units);
   params_.fp_units = clamp_units(params_.fp_units);
   params_.div_units = clamp_units(params_.div_units);
+  units_[static_cast<int>(PortClass::kAlu)] = params_.alu_units;
+  units_[static_cast<int>(PortClass::kLoad)] = params_.load_units;
+  units_[static_cast<int>(PortClass::kStore)] = params_.store_units;
+  units_[static_cast<int>(PortClass::kBranch)] = params_.branch_units;
+  units_[static_cast<int>(PortClass::kVec)] = params_.vec_units;
+  units_[static_cast<int>(PortClass::kFp)] = params_.fp_units;
+  units_[static_cast<int>(PortClass::kDiv)] = params_.div_units;
 }
 
 PortClass TimingModel::classify(const AsmInst& inst) const {
@@ -160,24 +166,31 @@ int TimingModel::latency(const AsmInst& inst) const {
   }
 }
 
-void TimingModel::step(const AsmInst& inst, std::uint64_t addr) {
+TimingRecord TimingModel::record(const AsmInst& inst) const {
+  // Bits past FLAGS name no register the model tracks.
+  constexpr masm::LiveSet kTracked = (masm::LiveSet{1} << kReadyBits) - 1;
   const masm::UseDef ud = masm::use_def_of(inst);
+  const masm::RegEffects fx = masm::effects_of(inst);
+  TimingRecord rec;
+  rec.use = ud.use & kTracked;
+  rec.def = ud.def & kTracked;
+  rec.latency = latency(inst);
+  rec.port = classify(inst);
+  rec.origin = inst.origin;
+  rec.reads_mem = fx.reads_mem;
+  rec.writes_mem = fx.writes_mem;
+  return rec;
+}
 
+void TimingModel::step(const TimingRecord& rec, std::uint64_t addr) {
   // Data dependences: ready when every read register/flag is ready.
   std::uint64_t ready = 0;
-  for (int i = 0; i < masm::kGprCount; ++i) {
-    if (ud.use & masm::gpr_bit(static_cast<masm::Gpr>(i))) {
-      ready = std::max(ready, gpr_ready_[i]);
-    }
+  for (masm::LiveSet use = rec.use; use != 0; use &= use - 1) {
+    ready = std::max(ready, ready_[std::countr_zero(use)]);
   }
-  for (int i = 0; i < masm::kXmmCount; ++i) {
-    if (ud.use & masm::xmm_bit(i)) ready = std::max(ready, xmm_ready_[i]);
-  }
-  if (ud.use & masm::kFlagsBit) ready = std::max(ready, flags_ready_);
 
-  const masm::RegEffects fx = masm::effects_of(inst);
   const int mem_slot = static_cast<int>((addr >> 3) % kMemTableSize);
-  if (fx.reads_mem && addr != 0 && mem_tag_[mem_slot] == (addr >> 3)) {
+  if (rec.reads_mem && addr != 0 && mem_tag_[mem_slot] == (addr >> 3)) {
     // Store-to-load forwarding from the last store to the same cell.
     ready = std::max(ready,
                      mem_ready_[mem_slot] + params_.lat_store_forward - 1);
@@ -186,41 +199,32 @@ void TimingModel::step(const AsmInst& inst, std::uint64_t addr) {
   // Frontend: instructions are fetched in program order at issue_width per
   // cycle; execution is out of order beyond that (dependences and port
   // throughput decide), approximating the paper's OoO Xeon.
-  const std::uint64_t fetch_cycle =
-      fetched_ / static_cast<std::uint64_t>(params_.issue_width);
-  ++fetched_;
-
-  const PortClass port = classify(inst);
-  int units = 0;
-  switch (port) {
-    case PortClass::kAlu: units = params_.alu_units; break;
-    case PortClass::kLoad: units = params_.load_units; break;
-    case PortClass::kStore: units = params_.store_units; break;
-    case PortClass::kBranch: units = params_.branch_units; break;
-    case PortClass::kVec: units = params_.vec_units; break;
-    case PortClass::kFp: units = params_.fp_units; break;
-    case PortClass::kDiv: units = params_.div_units; break;
+  const std::uint64_t fetch_cycle = fetch_cycle_;
+  if (++fetch_slot_ == params_.issue_width) {
+    fetch_slot_ = 0;
+    ++fetch_cycle_;
   }
+
+  const int p = static_cast<int>(rec.port);
   // Pick the earliest-free unit of this port class.
-  std::uint64_t* unit_free = &port_free_[static_cast<int>(port)][0];
+  std::uint64_t* unit_free = &port_free_[p][0];
   int best_unit = 0;
-  for (int u = 1; u < units; ++u) {
+  for (int u = 1; u < units_[p]; ++u) {
     if (unit_free[u] < unit_free[best_unit]) best_unit = u;
   }
   const std::uint64_t port_ready = unit_free[best_unit];
   const std::uint64_t cycle = std::max({ready, fetch_cycle, port_ready});
   unit_free[best_unit] = cycle + 1;  // throughput: 1 op/unit/cycle
 
-  const int lat = latency(inst);
-  const std::uint64_t completion = cycle + static_cast<std::uint64_t>(lat);
+  const std::uint64_t lat = static_cast<std::uint64_t>(rec.latency);
+  const std::uint64_t completion = cycle + lat;
   last_completion_ = std::max(last_completion_, completion);
 
   // Telemetry: cycle attribution and stall breakdown.
   {
-    const int p = static_cast<int>(port);
-    const int origin = static_cast<int>(inst.origin);
+    const int origin = static_cast<int>(rec.origin);
     ++stats_.issues[p][origin];
-    stats_.latency_cycles[p][origin] += static_cast<std::uint64_t>(lat);
+    stats_.latency_cycles[p][origin] += lat;
     ++stats_.busy_cycles[p];
     ++stats_.instructions;
     // The instruction slipped `cycle - fetch_cycle` past its in-order
@@ -240,16 +244,10 @@ void TimingModel::step(const AsmInst& inst, std::uint64_t addr) {
     }
   }
 
-  for (int i = 0; i < masm::kGprCount; ++i) {
-    if (ud.def & masm::gpr_bit(static_cast<masm::Gpr>(i))) {
-      gpr_ready_[i] = completion;
-    }
+  for (masm::LiveSet def = rec.def; def != 0; def &= def - 1) {
+    ready_[std::countr_zero(def)] = completion;
   }
-  for (int i = 0; i < masm::kXmmCount; ++i) {
-    if (ud.def & masm::xmm_bit(i)) xmm_ready_[i] = completion;
-  }
-  if (ud.def & masm::kFlagsBit) flags_ready_ = completion;
-  if (fx.writes_mem && addr != 0) {
+  if (rec.writes_mem && addr != 0) {
     mem_tag_[mem_slot] = addr >> 3;
     mem_ready_[mem_slot] = completion;
   }

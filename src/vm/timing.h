@@ -19,6 +19,7 @@
 
 #include <cstdint>
 
+#include "masm/cfg.h"
 #include "masm/masm.h"
 
 namespace ferrum::vm {
@@ -97,17 +98,39 @@ struct TimingStats {
   std::uint64_t instructions = 0;
 };
 
+/// What the timing model needs of one static instruction: its port
+/// class and latency under the model's params, the registers and flags
+/// it reads and writes (masm::use_def_of, as LiveSet bits 0-32), whether
+/// it reads or writes memory, and its origin. A timing run computes one
+/// per static instruction before it starts, so stepping an executed
+/// instruction decodes nothing.
+struct TimingRecord {
+  masm::LiveSet use = 0;
+  masm::LiveSet def = 0;
+  std::int32_t latency = 0;
+  PortClass port = PortClass::kAlu;
+  masm::InstOrigin origin = masm::InstOrigin::kFromIR;
+  bool reads_mem = false;
+  bool writes_mem = false;
+};
+
 /// Incremental cycle estimator fed one executed instruction at a time by
-/// the VM (with the registers it read/wrote and the memory cell touched).
+/// the VM (as its record, with the memory cell it touched).
 class TimingModel {
  public:
   /// Unit counts are clamped into [1, kMaxUnitsPerClass] and issue_width
   /// to >= 1; params() reports the values actually used.
   explicit TimingModel(const TimingParams& params);
 
-  /// Accounts one dynamic instruction. `addr` is the 8-byte-aligned
-  /// address of a memory access (0 when none).
-  void step(const masm::AsmInst& inst, std::uint64_t addr);
+  /// The record of `inst` under this model's params.
+  TimingRecord record(const masm::AsmInst& inst) const;
+
+  /// Accounts one dynamic instruction, given its record. `addr` is the
+  /// 8-byte-aligned address of a memory access (0 when none).
+  void step(const TimingRecord& rec, std::uint64_t addr);
+  void step(const masm::AsmInst& inst, std::uint64_t addr) {
+    step(record(inst), addr);
+  }
 
   std::uint64_t cycles() const { return last_completion_; }
   const TimingStats& stats() const { return stats_; }
@@ -117,13 +140,19 @@ class TimingModel {
   PortClass classify(const masm::AsmInst& inst) const;
   int latency(const masm::AsmInst& inst) const;
 
+  /// Register file of the dependence tracking: one ready cycle per
+  /// LiveSet bit (GPRs 0-15, XMMs 16-31, FLAGS 32).
+  static constexpr int kReadyBits = 33;
+
   TimingParams params_;
-  // Ready cycle per architectural register.
-  std::uint64_t gpr_ready_[masm::kGprCount] = {};
-  std::uint64_t xmm_ready_[masm::kXmmCount] = {};
-  std::uint64_t flags_ready_ = 0;
-  // Frontend fetch counter (program order, issue_width per cycle).
-  std::uint64_t fetched_ = 0;
+  // Units per port class, from params_.
+  int units_[kPortClassCount] = {};
+  // Ready cycle per architectural register and the flags, by LiveSet bit.
+  std::uint64_t ready_[kReadyBits] = {};
+  // Frontend fetch position (program order, issue_width per cycle): the
+  // cycle the next instruction is fetched in and its slot in that cycle.
+  std::uint64_t fetch_cycle_ = 0;
+  int fetch_slot_ = 0;
   // Next-free cycle per execution unit, per port class.
   std::uint64_t port_free_[kPortClassCount][kMaxUnitsPerClass] = {};
   std::uint64_t last_completion_ = 0;
