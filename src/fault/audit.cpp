@@ -1,10 +1,10 @@
 #include "fault/audit.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_map>
 
 // Types and inline lookups only — the prune analysis itself runs in
 // ferrum_check and reaches this layer as a const pointer, so ferrum_fault
@@ -111,10 +111,24 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
   const std::vector<std::uint32_t>& dyn_stratum = dyn.stratum;
 
   // Serial pilot plan: walk probes in (site, probe-bit) order; the first
-  // probe of each pilot key becomes the pilot. Deterministic and
-  // jobs-invariant by construction.
+  // probe of each (class, effective bit, stratum) key becomes the pilot.
+  // Deterministic and jobs-invariant by construction. A class's strata
+  // never decrease along the site order (StratumCounter), so the probes
+  // of one key come one after another among its (class, bit)'s probes:
+  // a table entry per (class, effective bit) holding the last stratum
+  // seen and its pilot finds every key's pilot.
+  struct PilotSlot {
+    std::uint32_t stratum = 0;
+    std::int32_t pilot = -1;
+  };
+  // An effective bit is at most its probe bit and below bit_space, which
+  // is at most 256 (a ymm site).
+  int max_bit = 0;
+  for (const int bit : options.probe_bits) max_bit = std::max(max_bit, bit);
+  const std::size_t bit_slots =
+      static_cast<std::size_t>(std::min(max_bit + 1, 256));
+  std::vector<PilotSlot> pilot_slots(prune.classes.size() * bit_slots);
   std::vector<vm::FaultSpec> pilots;
-  std::unordered_map<std::uint64_t, std::uint32_t> pilot_by_key;
   std::vector<std::int32_t> probe_pilot(nsites * nbits, -1);
   for (std::size_t id = 0; id < nsites; ++id) {
     const std::int32_t s = dyn_static[id];
@@ -131,12 +145,15 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
       const check::prune::PruneSite& site =
           prune.sites[static_cast<std::size_t>(s)];
       if (site.bit_dead(bit)) continue;  // stays -1: provably benign
-      const std::uint64_t key = detail::pilot_key(
-          site.class_id, bit % site.bit_space, dyn_stratum[id]);
-      auto [it, inserted] = pilot_by_key.emplace(
-          key, static_cast<std::uint32_t>(pilots.size()));
-      if (inserted) pilots.push_back({id, bit});
-      probe_pilot[probe] = static_cast<std::int32_t>(it->second);
+      PilotSlot& slot =
+          pilot_slots[site.class_id * bit_slots +
+                      static_cast<std::size_t>(bit % site.bit_space)];
+      if (slot.pilot < 0 || slot.stratum != dyn_stratum[id]) {
+        slot.stratum = dyn_stratum[id];
+        slot.pilot = static_cast<std::int32_t>(pilots.size());
+        pilots.push_back({id, bit});
+      }
+      probe_pilot[probe] = slot.pilot;
     }
   }
 
