@@ -551,4 +551,38 @@ RegEffects effects_of(const AsmInst& inst) {
   return fx;
 }
 
+bool gpr_operands_ok(const AsmInst& inst) {
+  for (const Operand& op : inst.ops) {
+    if (op.is_reg() && op.reg >= Gpr::kNone) return false;
+  }
+  const Operand& dst = inst.ops[inst.op == Op::kPop || inst.op == Op::kSetcc
+                                   ? 0
+                                   : 1];
+  switch (inst.op) {
+    case Op::kLea:
+    case Op::kMovsx:
+    case Op::kMovzx:
+    case Op::kCvttsd2si:
+    case Op::kPop:
+      return dst.is_reg();
+    case Op::kMov:
+    case Op::kSetcc:
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kImul:
+    case Op::kAnd:
+    case Op::kOr:
+    case Op::kXor:
+    case Op::kShl:
+    case Op::kSar:
+    case Op::kIdiv:
+    case Op::kIrem:
+      return dst.is_reg() || dst.is_mem();
+    case Op::kMovq:
+      return dst.is_reg() || dst.is_mem() || dst.is_xmm();
+    default:
+      return true;
+  }
+}
+
 }  // namespace ferrum::masm

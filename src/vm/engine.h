@@ -54,17 +54,20 @@ namespace ferrum::vm {
 /// Dispatch tag of one predecoded instruction. Values below
 /// masm::kOpCount are the instruction's own Op, executed singly; the
 /// remaining tags mark the end-of-function sentinel, decode-rejected
-/// operand widths, and the fused superinstruction pairs of the
-/// interpreter loop. Tags are part of the decode, so the fusion decision
-/// is paid once per campaign, never per trial.
+/// operands, and the fused superinstruction pairs of the interpreter
+/// loop. Tags are part of the decode, so the fusion decision is paid
+/// once per campaign, never per trial.
 enum : std::uint8_t {
   kTagSentinel = static_cast<std::uint8_t>(masm::kOpCount),
-  /// An operand carries a width the VM does not define (anything other
-  /// than 1, 4 or 8 bytes on a reg/mem operand — notably the 2-byte
-  /// width the decoder rejects loudly instead of silently reading the
-  /// full 64-bit register). Executing it traps kTrapInvalid after
-  /// counting the step, like any other invalid opcode use.
-  kTagBadWidth,
+  /// An operand the VM does not define: a width other than 1, 4 or 8
+  /// bytes on a reg/mem operand (notably the 2-byte width the decoder
+  /// rejects loudly instead of silently reading the full 64-bit
+  /// register), or a non-register operand where the instruction reads or
+  /// writes a general-purpose register (masm::gpr_operands_ok; such an
+  /// operand's register field is one past the register file). Executing
+  /// it traps kTrapInvalid after counting the step, like any other
+  /// invalid opcode use.
+  kTagInvalid,
   /// Fused cmp+jcc: the dominant decode pair (flags producer feeding the
   /// conditional jump one instruction later). One dispatch executes
   /// both; FI-site numbering, step counting and trap order are exactly
