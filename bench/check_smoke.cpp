@@ -154,8 +154,8 @@ int main() {
              ": build failed: " + e.what());
         continue;
       }
-      std::printf("%-15s %-14s | %5zu %6llu %6llu %6llu\n", workload.name,
-                  config.name, result.violations.size(),
+      std::printf("%-15s %-14s | %5zu %6llu %6llu %6llu\n",
+                  workload.name.c_str(), config.name, result.violations.size(),
                   static_cast<unsigned long long>(result.protected_sites),
                   static_cast<unsigned long long>(result.benign_sites),
                   static_cast<unsigned long long>(result.unprotected_sites));
