@@ -189,11 +189,11 @@ void check_flow_accuracy(Json& artifact) {
 }
 
 /// Schema + invariant check on bench_vm's telemetry: the wallclock
-/// section must carry the per-technique interpreter rates (median and
-/// best, with `none`, IR-EDDI and FERRUM rows), the campaign rates
-/// and the pruned-audit probe rate, and the metrics section must assert
-/// that the hooked and bare loop instances and the cold and checkpointed
-/// campaigns agree exactly.
+/// section must carry the per-technique interpreter rates (functional and
+/// timed, median and best, with `none`, IR-EDDI and FERRUM rows), the
+/// campaign rates and the pruned audit's probe rates and seconds per
+/// audit, and the metrics section must assert that the hooked and bare
+/// loop instances and the cold and checkpointed campaigns agree exactly.
 void check_bench_vm(const Json& artifact) {
   const Json* metrics = artifact.find("metrics");
   const Json* wallclock = artifact.find("wallclock");
@@ -225,7 +225,9 @@ void check_bench_vm(const Json& artifact) {
       }
     }
     for (const auto& [technique, row] : interpreter->fields()) {
-      for (const char* key : {"minst_per_second", "best_minst_per_second"}) {
+      for (const char* key :
+           {"minst_per_second", "best_minst_per_second",
+            "timing_minst_per_second", "best_timing_minst_per_second"}) {
         if (row.find(key) == nullptr) {
           fail("bench_vm interpreter['" + technique + "'] lacks '" + key +
                "'");
@@ -256,8 +258,12 @@ void check_bench_vm(const Json& artifact) {
   }
   const Json* audit = wallclock->find("audit");
   const Json* ferrum = audit != nullptr ? audit->find("ferrum") : nullptr;
-  if (ferrum == nullptr || ferrum->find("probes_per_second") == nullptr) {
-    fail("bench_vm wallclock lacks audit.ferrum.probes_per_second");
+  for (const char* key :
+       {"probes_per_second", "best_probes_per_second",
+        "median_audit_seconds"}) {
+    if (ferrum == nullptr || ferrum->find(key) == nullptr) {
+      fail(std::string("bench_vm wallclock lacks audit.ferrum.") + key);
+    }
   }
 }
 

@@ -45,19 +45,39 @@ void BM_VmRun(benchmark::State& state, Technique technique, bool timing) {
                           state.iterations());
 }
 
+/// Median and largest of a set of samples (both 0 when empty).
+struct Spread {
+  double median = 0.0;
+  double best = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  Spread out;
+  if (samples.empty()) return out;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  out.median = n % 2 == 1 ? samples[n / 2]
+                          : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
+  out.best = samples.back();
+  return out;
+}
+
 /// Steady interpreter rate: `reps` cold golden runs (Engine::run) of
 /// `program` on one PredecodedProgram and one Engine, after one untimed
 /// warm-up run, so predecode and the arena mapping stay outside the timed
-/// region. Returns the median and the best functional Minst/s.
+/// region. Returns the median and the best Minst/s, functional or (with
+/// `timing`) under the timing model.
 struct InterpreterRate {
   double median = 0.0;
   double best = 0.0;
   std::uint64_t steps = 0;
 };
 
-InterpreterRate minst_per_second(const masm::AsmProgram& program, int reps) {
+InterpreterRate minst_per_second(const masm::AsmProgram& program, int reps,
+                                 bool timing) {
   const vm::PredecodedProgram decoded(program);
-  const vm::VmOptions options;
+  vm::VmOptions options;
+  options.timing = timing;
   vm::Engine engine(decoded, options);
   InterpreterRate rate;
   if (!engine.run(options, nullptr, 0).ok()) return rate;
@@ -73,12 +93,9 @@ InterpreterRate minst_per_second(const masm::AsmProgram& program, int reps) {
     rate.steps = result.steps;
     rates.push_back(static_cast<double>(result.steps) / seconds / 1e6);
   }
-  if (rates.empty()) return rate;
-  std::sort(rates.begin(), rates.end());
-  const std::size_t n = rates.size();
-  rate.median = n % 2 == 1 ? rates[n / 2]
-                           : (rates[n / 2 - 1] + rates[n / 2]) / 2.0;
-  rate.best = rates.back();
+  const Spread spread = spread_of(std::move(rates));
+  rate.median = spread.median;
+  rate.best = spread.best;
   return rate;
 }
 
@@ -112,10 +129,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Interpreter throughput: functional Minst/s per technique over a
-    // scale-4 golden run on a reused engine, the median and the best of
-    // kRateReps runs. `none` and IR-EDDI are the unprotected and the
-    // IR-level protected trial tails. The hooked loop instance (here
+    // Interpreter throughput: Minst/s per technique over a scale-4 golden
+    // run on a reused engine, the median and the best of kRateReps runs,
+    // functional and under the timing model. `none` and IR-EDDI are the
+    // unprotected and the IR-level protected trial tails; the timing rate
+    // is what a Fig 11 run costs. The hooked loop instance (here
     // profiling) must agree with the bare one on every result field —
     // asserted under `metrics`; the rates are wall-clock observability.
     constexpr int kRateReps = 10;
@@ -135,16 +153,21 @@ int main(int argc, char** argv) {
           hooked.output == bare.output && hooked.steps == bare.steps &&
           hooked.fi_sites == bare.fi_sites &&
           hooked.return_value == bare.return_value;
-      const InterpreterRate rate = minst_per_second(build.program, kRateReps);
+      const InterpreterRate rate =
+          minst_per_second(build.program, kRateReps, false);
+      const InterpreterRate timed =
+          minst_per_second(build.program, kRateReps, true);
       telemetry::Json row = telemetry::Json::object();
       row["minst_per_second"] = rate.median;
       row["best_minst_per_second"] = rate.best;
+      row["timing_minst_per_second"] = timed.median;
+      row["best_timing_minst_per_second"] = timed.best;
       row["steps"] = rate.steps;
       row["reps"] = kRateReps;
       report.wallclock()["interpreter"][name] = row;
       std::printf("interpreter %-26s %7.1f Minst/s median  %7.1f best"
-                  "  (%llu steps)\n",
-                  name, rate.median, rate.best,
+                  "  timing %6.1f / %6.1f  (%llu steps)\n",
+                  name, rate.median, rate.best, timed.median, timed.best,
                   static_cast<unsigned long long>(rate.steps));
     }
 
@@ -195,7 +218,11 @@ int main(int argc, char** argv) {
     // The pruned FERRUM audit: one pilot probe per (class, bit, stratum)
     // key, in ascending site order — a dense plan whose probes share
     // most of their golden prefix, the case the walk's forks exist for.
+    // One audit lasts a few tens of ms, so it runs kAuditReps times: the
+    // probe rate of its trials (median and best), and the median seconds
+    // of the whole audit_program call, golden run and pilot plan included.
     {
+      constexpr int kAuditReps = 7;
       auto build = pipeline::build(w.source, Technique::kFerrum);
       const check::prune::PruneReport prune =
           check::prune::prune_program(build.program);
@@ -203,17 +230,34 @@ int main(int argc, char** argv) {
       audit.jobs = jobs;
       audit.ckpt_stride = stride;
       audit.prune = &prune;
-      const auto result = fault::audit_program(build.program, audit);
-      const double probes = static_cast<double>(result.prune.pilot_injections);
-      const double rate =
-          result.wall_seconds > 0.0 ? probes / result.wall_seconds : 0.0;
+      std::vector<double> rates;
+      std::vector<double> call_seconds;
+      fault::AuditReport result;
+      for (int rep = 0; rep < kAuditReps; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        result = fault::audit_program(build.program, audit);
+        call_seconds.push_back(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count());
+        if (result.wall_seconds > 0.0) {
+          rates.push_back(static_cast<double>(result.prune.pilot_injections) /
+                          result.wall_seconds);
+        }
+      }
+      const Spread rate = spread_of(std::move(rates));
+      const double call_median = spread_of(std::move(call_seconds)).median;
       telemetry::Json row = telemetry::Json::object();
       row["probes"] = result.prune.pilot_injections;
-      row["probes_per_second"] = rate;
+      row["probes_per_second"] = rate.median;
+      row["best_probes_per_second"] = rate.best;
+      row["median_audit_seconds"] = call_median;
+      row["reps"] = kAuditReps;
       row["ckpt"] = telemetry::wallclock_json(result);
       report.wallclock()["audit"]["ferrum"] = row;
-      std::printf("audit    ferrum   %9.1f probes/s (%llu pruned pilots)\n",
-                  rate,
+      std::printf("audit    ferrum   %9.1f probes/s median  %9.1f best"
+                  "  %.2f ms per audit (%llu pruned pilots)\n",
+                  rate.median, rate.best, call_median * 1e3,
                   static_cast<unsigned long long>(
                       result.prune.pilot_injections));
     }
