@@ -17,7 +17,7 @@ JOBS="${FERRUM_CI_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 # Preset table: name | build dir | extra cmake args | ctest args.
 # The regexes mirror ROADMAP.md verbatim — update both together.
 TSAN_TESTS='bench_smoke|check_smoke|prune_smoke|test_parallel|test_sections|service_smoke'
-ASAN_TESTS='test_check|test_engine|test_prune|test_vm|test_vm_flags'
+ASAN_TESTS='test_check|test_engine|test_prune|test_vm|test_vm_flags|test_timing|test_goldens'
 
 preset_cmake_args() {
   case "$1" in
