@@ -7,8 +7,17 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "check/flow.h"
+#include "check/prune.h"
+#include "check/sections.h"
+#include "fuzz_program.h"
+#include "masm/parser.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/selective.h"
+#include "support/hash.h"
+#include "support/source_location.h"
 #include "vm/vm.h"
 #include "workloads/workloads.h"
 
@@ -336,6 +345,266 @@ TEST(Goldens, ModelledCyclesPinned) {
           << label << " port "
           << vm::port_class_name(static_cast<vm::PortClass>(p));
     }
+  }
+}
+
+/// SHA-256 digests of the three static reports of one source, each over
+/// every program the source yields with store-data sites off and on.
+struct ReportPin {
+  const char* name;
+  const char* prune;
+  const char* sections;
+  const char* flow;
+};
+
+struct ReportDigests {
+  std::string prune;
+  std::string sections;
+  std::string flow;
+};
+
+ReportDigests digest_reports(const std::vector<masm::AsmProgram>& programs) {
+  Sha256 prune;
+  Sha256 sections;
+  Sha256 flow;
+  for (const masm::AsmProgram& program : programs) {
+    for (const bool store_data : {false, true}) {
+      prune.update(check::prune::to_json(
+                       check::prune::prune_program(program, {store_data}),
+                       program)
+                       .dump() +
+                   "\n");
+      const check::sections::SectionOptions section_options{store_data};
+      sections.update(
+          check::sections::to_json(
+              check::sections::build_sections(program, section_options),
+              program, section_options)
+              .dump() +
+          "\n");
+      flow.update(check::flow::to_json(
+                      check::flow::flow_program(program, {store_data}),
+                      program)
+                      .dump() +
+                  "\n");
+    }
+  }
+  return {prune.hex_digest(), sections.hex_digest(), flow.hex_digest()};
+}
+
+std::vector<masm::AsmProgram> all_techniques(const std::string& source) {
+  std::vector<masm::AsmProgram> programs;
+  for (const Technique technique :
+       {Technique::kNone, Technique::kIrEddi, Technique::kHybrid,
+        Technique::kFerrum}) {
+    programs.push_back(pipeline::build(source, technique).program);
+  }
+  return programs;
+}
+
+/// Two functions, with an unreachable block, a jmp to a label that does
+/// not resolve, a call to an unknown function and a jcc in mid-block
+/// whose target is not a detect block.
+constexpr const char* kEdgeCaseAsm =
+    "helper:\n"
+    ".entry:\n"
+    "\tmovq\t%rdi, %rax\n"
+    "\taddq\t$1, %rax\n"
+    "\tret\n"
+    "main:\n"
+    ".entry:\n"
+    "\tmovq\t$5, %rdi\n"
+    "\tmovq\t$9, %rcx\n"
+    "\tcmpq\t$3, %rdi\n"
+    "\tjl\t.skip\n"
+    "\tcall\thelper\n"
+    "\tmovq\t%rax, %rdi\n"
+    "\tcall\tprint_int\n"
+    "\tcall\tmissing\n"
+    "\tjmp\t.done\n"
+    ".dead:\n"
+    "\tmovq\t$4, %rdx\n"
+    "\tmovq\t%rdx, %rax\n"
+    "\tjmp\t.nowhere\n"
+    ".skip:\n"
+    "\tmovq\t%rcx, %rdi\n"
+    "\tcall\tprint_int\n"
+    ".done:\n"
+    "\tmovq\t$0, %rax\n"
+    "\tret\n";
+
+TEST(Goldens, StaticReportsPinned) {
+  // prune, sections and flow feed the pruned audits, the sectioned
+  // campaigns and the selective planner. A change to how the analyses
+  // are computed (driver, iteration order, shared tables) must not move
+  // one byte of their reports; a deliberate change to an analysis
+  // updates this table.
+  const ReportPin pins[] = {
+      {"backprop",
+       "ebad8636dbcb41dbb951b5adc99ae5cb1d2c05124dc80a8b93d46620967770c2",
+       "332437bbf1a0affb9364a533f4031afe488501f4ba14330c36fd63d5e469b333",
+       "f473af55a7f4e0ebb7f4083dc8e802b015b3724209401b13976550b6f2bf8c26"},
+      {"bfs",
+       "e3c439a99ed1ecefcee14e373faa8ba364370d396a284900c77928e2e733eb7b",
+       "06c689820849398a5367a28806248bc08ff28a5decfe14fc1b3dd781470dd4b8",
+       "f9b5483037c5624ecc9c793c3ee0b99faac05ec55507e8387435a76d94512379"},
+      {"pathfinder",
+       "4984bb30c306dfe9e13f02c0b899cce7c0e99d698d2590f8a7dcedd3d5eb2336",
+       "5fdf3c03507b7014c5d64053a50217035dd075158e754513887a4805793e6918",
+       "71860c661c4ffa4c9ddb2f2d3300988249103a5bcea6faf2fb94c7f83f1ef4bf"},
+      {"lud",
+       "95771fb70a635c8f8e10024f2ccb45f3f5f29083cf98696ff58eba82cd8483f3",
+       "7aa013eaeef2fe32608b68f13d0fb4e0b04bdcdbdaa046d873c27048df8784b9",
+       "adddd99d8bfcf4b0cbef4db3c9cbca11a5788bb849deef874405be926b3c2503"},
+      {"needle",
+       "b33ce40c914048234ace39a42464e7ec2ac20af97a8db523b33ef55e36d18d33",
+       "d834a208b8be75f29ead13bc844f1f288a4425eb589719179016be20eabe7c6c",
+       "8c28fcc8f30766514b296b58ba82fc242aceb1c6f00683c5b3aa3252ceabcf7f"},
+      {"knn",
+       "c0c11edea28eb61af5b1afbe63f2d50beddbb519f61e76ba02a246a51848da40",
+       "fdaa8b1301d843130ea41fd22ff2cd941d4b122e64f178e5c191a8bd1d96e9f5",
+       "d0aa461411d683c2b41fc4d9b5b5b4c3edf0303f6ddacaba3f6ef7bb76fc5475"},
+      {"kmeans",
+       "211eadd8906d06b3b89573371022106543a690fb612e7f2778f04bcbb02a82eb",
+       "614916d81be5e13316fa3d6a609493c4424e0c30346994ca12dfaeb73b8af541",
+       "c3939bb838b62aa0d507a2abbd96a8e53036d84788f7e95c07266c232da3a702"},
+      {"particlefilter",
+       "61f7a291fc3e03848e521aa195673355ff05565846d41fbb9e46df61e9c20699",
+       "e140e77b99dfa9038e5d4318aa51b301613831e2fc298c6e05840083ba5df547",
+       "4bfff025238423fa74b67605140edbec3bd5ac84e602f85b6c7cab997260b512"},
+      {"fib",
+       "a15ae435bd2278bdd0b2da6305478e765638d0eeee6ec2f06c4c01dc191bdf8c",
+       "6cbd0aad1b3b8e618973e7bdb8d145361927b7e4d9a0e41963529261c5d84cf5",
+       "db0f767c22865fd8d09d23c3200ea958836317fc60e897851f8fe00e7ece779e"},
+      {"even-odd",
+       "1ea27e344bdfe76baef52b7a933631a77524899e9a46fc33f3605d9b9d71c4ac",
+       "3d15dd183dddf34c5ffa31192cb421d34f40e6879af369c457e5924c272abebf",
+       "2f20c76fa4b1ca05d58e3bec42a79b8e2bd7eb2590bc85ceae74935461749726"},
+      {"fuzz-1",
+       "7fc7452e8235d64759ac010655377d52c42346a09971e3a28624d4519f878f79",
+       "c0493201b696567451ae29095169afce0e113baf04ca909599b3a13878cf2821",
+       "7ed8ca487afbaef0d1c15fdc8aac6ea12ab1e49e5e48ecc3ba5d59f8d345505d"},
+      {"fuzz-2",
+       "b9c94fe5e83411f62b6a588f8ab44b6553cdf67e819e859e3fb081fa5bb2edfd",
+       "9b0da7f31165f444283a6d495df01e69bf8e7091182b95cf95d70b0ea3cccf44",
+       "4a0c0bd3f4487b355ffedf64b4b55bd9a48219c84d4d3834c65c229e19008ea5"},
+      {"fuzz-3",
+       "8c09ea28ac026a6686c8197a1c184a0257c4902b315912053d568f71fab0fb81",
+       "f242d48ad50025541e2b7668d9faf71dafa33b45b258113f980378d2ab5ef967",
+       "f04d62d15f80511a62e312cd41e7cb9ec8128eb916376071f0a28413591b7cbf"},
+      {"fuzz-4",
+       "fc39757c334e2d0c76b83da58931709671990e03dc3e9c6d0a368cd633e27bbb",
+       "f910834f9e1ca198046dddbc2350bbe40c7390d69d7a3f86370e813c93b86747",
+       "efe6905547060c68fc1b455ff0f8dc6ec24c8264faac40bf5e5d6d903aa3ead3"},
+      {"fuzz-5",
+       "18f7e131dba701b3e2273c13306b6e42bda06179f3a3e7253eaafe5e99e8bb0c",
+       "b61df8b2e9e95e1277d4183cb7f79630bef99975a82e5486493004af31ed781e",
+       "28927193b9ed7d21fc48e516a37a3e84b313e40755c85038e549fe35c6dad24b"},
+      {"fuzz-6",
+       "7af697482511d880dbd99eb7ad8403f72b21d0acc39703e1933ced1b958603b1",
+       "5481e16151e5c07d5fc62e3640c61c69068658b01836c49550222902f0c85e32",
+       "a5fb56fcac4a94f340ee45c5d75e03a91cc8773009e28d09c947fc6f8484b108"},
+      {"fuzz-7",
+       "9dbef7ff139d73c75379eb1eca1dbf353d443566020bef0e0a091fe91327afba",
+       "6e395d0ff188f07564600d17f5a0ce36b9ed54aee48449270992bc9b717c0799",
+       "9d5a88f9423951684689653d853dd882937eb13ffb11d5f5d8e6fe10247f30f1"},
+      {"fuzz-8",
+       "e7ddfcaddd65daccc4ec1895adb93f2e9f38f2b8673eb982bcae9dcb416d2d4a",
+       "b3bc4a19a46a0aac0a26adb63020e166463cd70df1e7a29e598eb81cc5b7cf78",
+       "55a911c6570278fd03d4c55ad6822f8d4d0bc96ca8690af1f82affa517dade15"},
+      {"edge-asm",
+       "6916f4a18c64877d246da84ddf99576de0dd69fd149863fe8e3e1b7a0eba2f2a",
+       "73b7dd0cd81e14892570ffca36b535bd44ab9146a7195bc61fd935c738aa75c3",
+       "02a67c4dffdef90ea20134c7ba7cc00f17e365b6c3c1b07baf6c80cb5302a5e2"},
+  };
+  std::vector<std::pair<std::string, std::vector<masm::AsmProgram>>> sources;
+  for (const auto& w : workloads::all()) {
+    sources.emplace_back(w.name, all_techniques(w.source));
+  }
+  sources.emplace_back(
+      "fib", all_techniques("int fib(int n) {\n"
+                            "  if (n < 2) { return n; }\n"
+                            "  return fib(n - 1) + fib(n - 2);\n"
+                            "}\n"
+                            "int main() { print_int(fib(10)); return 0; }\n"));
+  sources.emplace_back(
+      "even-odd",
+      all_techniques("int is_even(int n) {\n"
+                     "  if (n == 0) { return 1; }\n"
+                     "  return is_odd(n - 1);\n"
+                     "}\n"
+                     "int is_odd(int n) {\n"
+                     "  if (n == 0) { return 0; }\n"
+                     "  return is_even(n - 1);\n"
+                     "}\n"
+                     "int main() {\n"
+                     "  print_int(is_even(10));\n"
+                     "  print_int(is_odd(7));\n"
+                     "  return 0;\n"
+                     "}\n"));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sources.emplace_back(
+        "fuzz-" + std::to_string(seed),
+        all_techniques(fuzz_program(seed * 0x9e3779b97f4a7c15ull)));
+  }
+  DiagEngine diags;
+  sources.emplace_back(
+      "edge-asm",
+      std::vector<masm::AsmProgram>{masm::parse_program(kEdgeCaseAsm, diags)});
+  ASSERT_FALSE(diags.has_errors()) << diags.render();
+
+  ASSERT_EQ(sources.size(), std::size(pins));
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const ReportPin& pin = pins[s];
+    ASSERT_EQ(sources[s].first, pin.name);
+    const ReportDigests got = digest_reports(sources[s].second);
+    EXPECT_EQ(got.prune, pin.prune) << pin.name << " prune";
+    EXPECT_EQ(got.sections, pin.sections) << pin.name << " sections";
+    EXPECT_EQ(got.flow, pin.flow) << pin.name << " flow";
+  }
+}
+
+TEST(Goldens, SelectivePlansPinned) {
+  // The analysis-ranked plan reads the flow report: its selection and
+  // the profile it was ranked from, at three budgets.
+  const std::pair<const char*, const char*> pins[] = {
+      {"backprop",
+       "eafb7c106049efc313d4c8c0b074ca16e80a926fbfb9d21f1719af387eb8971d"},
+      {"bfs",
+       "f9a9612755723204109ce24ebcd5432f49971216c48e033a26e2b8fdb8dcd04e"},
+      {"pathfinder",
+       "43e489d36d132740db799f1e4e492de968d6db11b86110524de217ad42b8763c"},
+      {"lud",
+       "a5b1fe1fcc84903f5764ccfc96a9bccf163d4938b15ea8e786a859760ea0d990"},
+      {"needle",
+       "f73f8313b90e93191a8d4fb03a56822436d877492a3fd2c9f0eb3237ec710ab5"},
+      {"knn",
+       "94a610a76bfe74def92acc8b31323cc6e97637139e171d5377e216a4392a0884"},
+      {"kmeans",
+       "9a5ecbd68175ce91b9d5f9196d90a338e4ebbe5633595402a99d79a187271641"},
+      {"particlefilter",
+       "5cb4e68bde68af2794e21f24afed1972a1ad5dae36e3b78c370c98b1859069c0"},
+  };
+  for (const auto& [name, digest] : pins) {
+    const auto build =
+        pipeline::build(workloads::by_name(name).source, Technique::kNone);
+    Sha256 sha;
+    for (const double budget : {0.1, 0.5, 0.9}) {
+      pipeline::SelectiveOptions options;
+      options.strategy = pipeline::SelectiveOptions::Strategy::kAnalysis;
+      options.budget = budget;
+      const pipeline::SelectivePlan plan = pipeline::plan_selective(
+          build.program, options, eddi::AsmProtectOptions{});
+      std::string text = "budget " + std::to_string(budget) + ":";
+      for (const int ordinal : plan.selected) {
+        text += " " + std::to_string(ordinal);
+      }
+      text += "; profile";
+      for (const std::uint64_t count : plan.flow.profile.count) {
+        text += " " + std::to_string(count);
+      }
+      sha.update(text + "\n");
+    }
+    EXPECT_EQ(sha.hex_digest(), digest) << name;
   }
 }
 
