@@ -1,5 +1,6 @@
 #include "check/sections.h"
 
+#include <array>
 #include <unordered_map>
 
 #include "check/check.h"
@@ -124,13 +125,20 @@ SectionMap build_sections(const masm::AsmProgram& program,
       }
     }
   }
+  return map;
+}
 
+telemetry::Json to_json(const SectionMap& map,
+                        const masm::AsmProgram& program,
+                        const SectionOptions& options) {
   // Fold the checker's master/duplicate classification onto the owning
-  // sections. SiteRecords carry function names; resolve them once.
+  // sections: per section, its protected, benign and unprotected sites.
+  // SiteRecords carry function names; resolve them once.
   std::unordered_map<std::string, int> fn_index;
   for (std::size_t f = 0; f < program.functions.size(); ++f) {
     fn_index.emplace(program.functions[f].name, static_cast<int>(f));
   }
+  std::vector<std::array<std::int64_t, 3>> status_count(map.sections.size());
   const CheckReport check =
       check_program(program, CheckOptions{options.store_data_sites});
   for (const SiteRecord& site : check.sites) {
@@ -138,20 +146,10 @@ SectionMap build_sections(const masm::AsmProgram& program,
     if (it == fn_index.end()) continue;
     const int id = map.section_of(it->second, site.block, site.inst);
     if (id < 0) continue;
-    SectionInterface& interface =
-        map.sections[static_cast<std::size_t>(id)].interface;
-    switch (site.status) {
-      case SiteStatus::kProtected: ++interface.protected_sites; break;
-      case SiteStatus::kBenign: ++interface.benign_sites; break;
-      case SiteStatus::kUnprotected: ++interface.unprotected_sites; break;
-    }
+    ++status_count[static_cast<std::size_t>(id)]
+                  [static_cast<std::size_t>(site.status)];
   }
-  return map;
-}
 
-telemetry::Json to_json(const SectionMap& map,
-                        const masm::AsmProgram& program,
-                        const SectionOptions& options) {
   telemetry::Json out = telemetry::Json::object();
   telemetry::Json list = telemetry::Json::array();
   for (const Section& section : map.sections) {
@@ -173,13 +171,11 @@ telemetry::Json to_json(const SectionMap& map,
     interface["stores"] =
         static_cast<std::int64_t>(section.interface.stores);
     interface["loads"] = static_cast<std::int64_t>(section.interface.loads);
+    const auto& counts = status_count[static_cast<std::size_t>(section.id)];
     telemetry::Json sites = telemetry::Json::object();
-    sites["protected"] =
-        static_cast<std::int64_t>(section.interface.protected_sites);
-    sites["benign"] =
-        static_cast<std::int64_t>(section.interface.benign_sites);
-    sites["unprotected"] =
-        static_cast<std::int64_t>(section.interface.unprotected_sites);
+    sites["protected"] = counts[static_cast<int>(SiteStatus::kProtected)];
+    sites["benign"] = counts[static_cast<int>(SiteStatus::kBenign)];
+    sites["unprotected"] = counts[static_cast<int>(SiteStatus::kUnprotected)];
     interface["sites"] = std::move(sites);
     entry["interface"] = std::move(interface);
     list.push_back(std::move(entry));

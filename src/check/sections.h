@@ -14,10 +14,11 @@
 //
 // The interface attached to each section is computed from the same
 // analyses the rest of the static stack uses: live-in/live-out from
-// masm::Liveness (prune's liveness domain), the memory footprint from
-// masm::effects_of (the store choke point's static mirror), and the
-// master/duplicate pairing from ferrum-check's abstract domain
-// (per-section counts of protected / benign / unprotected sites).
+// masm::Liveness (prune's liveness domain) and the memory footprint from
+// masm::effects_of (the store choke point's static mirror), so
+// build_sections needs nothing but masm. The master/duplicate pairing
+// from ferrum-check's abstract domain (per-section counts of protected /
+// benign / unprotected sites) is joined only by to_json, its one reader.
 //
 // Layering: this analysis lives in ferrum_check, but SectionMap is plain
 // data with inline lookups only, so ferrum_fault's composition layer
@@ -59,11 +60,6 @@ struct SectionInterface {
   /// Memory footprint: instructions that write / read memory.
   int stores = 0;
   int loads = 0;
-  /// Master/duplicate pairing from ferrum-check: how this section's
-  /// fault sites are classified by the protection verifier.
-  int protected_sites = 0;
-  int benign_sites = 0;
-  int unprotected_sites = 0;
 };
 
 struct Section {
@@ -83,9 +79,9 @@ struct Section {
 };
 
 struct SectionOptions {
-  /// Enumerate kStoreData sites when counting static_sites and the
-  /// checker classification. Must mirror VmOptions::fault_store_data of
-  /// any campaign composed over this map.
+  /// Enumerate kStoreData sites when counting static_sites (and, in
+  /// to_json, the checker classification). Must mirror
+  /// VmOptions::fault_store_data of any campaign composed over this map.
   bool store_data_sites = false;
 };
 
@@ -107,10 +103,12 @@ struct SectionMap {
 SectionMap build_sections(const masm::AsmProgram& program,
                           const SectionOptions& options = {});
 
-/// Deterministic JSON: the section table (with interfaces) plus a
-/// per-fault-site membership table ("sites": every static fault site with
-/// its section id), so section membership is inspectable from
-/// `ferrumc sites` / `ferrumc lint=json` without running a campaign.
+/// Deterministic JSON: the section table (with interfaces, each with its
+/// sites' ferrum-check classification counts, for which this runs
+/// check_program) plus a per-fault-site membership table ("sites": every
+/// static fault site with its section id), so section membership is
+/// inspectable from `ferrumc sites` / `ferrumc lint=json` without running
+/// a campaign.
 telemetry::Json to_json(const SectionMap& map,
                         const masm::AsmProgram& program,
                         const SectionOptions& options = {});
