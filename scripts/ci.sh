@@ -5,7 +5,8 @@
 #   tier-1      full ctest suite, default toolchain flags
 #   tsan        ThreadSanitizer build; the parallel/service/sections
 #               harnesses plus the smoke benches
-#   asan-ubsan  combined ASan+UBSan build; checker and engine tests
+#   asan-ubsan  combined ASan+UBSan build, UBSan fatal; checker, dataflow
+#               and engine tests
 #
 # Usage: scripts/ci.sh [preset ...]     (default: all three)
 # Environment: FERRUM_CI_JOBS overrides the build/test parallelism.
@@ -17,7 +18,7 @@ JOBS="${FERRUM_CI_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 # Preset table: name | build dir | extra cmake args | ctest args.
 # The regexes mirror ROADMAP.md verbatim — update both together.
 TSAN_TESTS='bench_smoke|check_smoke|prune_smoke|test_parallel|test_sections|service_smoke'
-ASAN_TESTS='test_check|test_engine|test_prune|test_vm|test_vm_flags|test_timing|test_goldens'
+ASAN_TESTS='test_check|test_engine|test_prune|test_vm|test_vm_flags|test_timing|test_goldens|test_flow|test_sections'
 
 preset_cmake_args() {
   case "$1" in
