@@ -7,8 +7,10 @@ prints a table. Throughput lives in the artifacts' `wallclock` sections,
 which are scheduling- and machine-dependent by design — so this is a
 tripwire, not a gate: the exit status is always 0 and ci.sh treats the
 output as informational. A metric only earns a SLOWER flag when it falls
-below baseline * (1 - tolerance); the default tolerance is generous
-because the smoke knobs (FERRUM_TRIALS=4) time very short runs.
+below baseline * (1 - tolerance), or, for a lower-is-better metric such
+as a time, when it rises above baseline * (1 + tolerance); the default
+tolerance is generous because the smoke knobs (FERRUM_TRIALS=4) time
+very short runs.
 
 Usage:
   scripts/bench_diff.py [--bench-dir DIR] [--baselines FILE]
@@ -21,9 +23,14 @@ Baseline schema (bench/baselines.json):
       {"bench": "bench_vm",
        "path": "wallclock/campaign_throughput/ferrum/ckpt_trials_per_second",
        "value": 600.0},
+      {"bench": "bench_vm",
+       "path": "wallclock/audit/ferrum/median_audit_seconds",
+       "value": 0.01, "better": "lower"},
       ...
     ]
   }
+A metric is higher-is-better unless it carries "better": "lower";
+--update rewrites only the values.
 """
 
 import argparse
@@ -90,10 +97,14 @@ def main():
             rows.append((bench, path, base, current, "no-base"))
             continue
         ratio = current / base
-        if ratio < 1.0 - tolerance:
+        if metric.get("better", "higher") == "lower":
+            worse, better = ratio > 1.0 + tolerance, ratio < 1.0 - tolerance
+        else:
+            worse, better = ratio < 1.0 - tolerance, ratio > 1.0 + tolerance
+        if worse:
             status = "SLOWER"
             slower += 1
-        elif ratio > 1.0 + tolerance:
+        elif better:
             status = "faster"
         else:
             status = "ok"
@@ -106,16 +117,19 @@ def main():
         print(f"bench_diff: baselines rewritten from {args.bench_dir}")
         return 0
 
-    print(f"bench throughput vs baselines (tolerance {tolerance:.0%}, "
+    print(f"bench metrics vs baselines (tolerance {tolerance:.0%}, "
           "warn-only):")
     print(f"{'bench':<18} {'metric':<52} {'baseline':>10} {'current':>10} "
           f"{'status':>8}")
+    def show(value):
+        if not isinstance(value, (int, float)):
+            return "-"
+        # Sub-unit values (times in seconds) keep three significant digits.
+        return f"{value:.1f}" if abs(value) >= 1 else f"{value:.3g}"
+
     for bench, path, base, current, status in rows:
         metric = path.split("/", 1)[-1]
-        base_s = f"{base:.1f}" if isinstance(base, (int, float)) else "-"
-        cur_s = f"{current:.1f}" if isinstance(current,
-                                               (int, float)) else "-"
-        print(f"{bench:<18} {metric:<52} {base_s:>10} {cur_s:>10} "
+        print(f"{bench:<18} {metric:<52} {show(base):>10} {show(current):>10} "
               f"{status:>8}")
     if slower:
         print(f"bench_diff: {slower} metric(s) slower than baseline "
