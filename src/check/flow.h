@@ -24,9 +24,10 @@
 // lane granularity, RFLAGS): each location carries the set of *sinks* the
 // value residing there can still reach, plus (during summary
 // construction) the set of *exit locations* it can flow into by function
-// return. Interprocedural flow mirrors prune: bottom-up per-callee
-// summaries to a least fixpoint, then a top-down caller-context pass
-// seeding main's %rax with the output sink.
+// return. It is the second domain on prune's backward dataflow driver
+// (check/dataflow.h): bottom-up per-callee summaries to a least
+// fixpoint, then a top-down caller-context pass seeding main's %rax with
+// the output sink.
 //
 // Soundness contract (one-directional, DESIGN.md "flow"): the two
 // predicted-safe buckets must never produce a dynamic SDC. Every SDC
@@ -152,8 +153,9 @@ struct FlowReport {
   std::vector<std::vector<std::vector<std::int32_t>>> site_at_;
 };
 
-/// Runs the propagation analysis plus the prune/check passes it folds in.
-/// Deterministic: depends only on the program and options.
+/// Runs the propagation analysis plus the prune, check and section passes
+/// it folds in (check_program once). Deterministic: depends only on the
+/// program and options.
 FlowReport flow_program(const masm::AsmProgram& program,
                         const FlowOptions& options = {});
 

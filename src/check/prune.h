@@ -15,7 +15,9 @@
 //     captured at the store, so kills by later loads are sound); and
 //     interprocedural flow is summarised per callee (may-read gen set +
 //     may-pass-through set) over a bottom-up fixpoint, with a top-down
-//     return-liveness pass seeding main's exit with {%rax}.
+//     return-liveness pass seeding main's exit with {%rax}. Liveness is
+//     one domain on the backward dataflow driver flow shares
+//     (check/dataflow.h), which owns the solves and both fixpoints.
 //
 //  2. An *equivalence class* for the remaining live sites: sites whose
 //     corrupted value reaches the same consumer chain — same relative
