@@ -130,4 +130,11 @@ StaticSiteInfo static_site_of(const AsmInst& inst, bool store_data,
   return none();
 }
 
+bool call_pushes_ret(const AsmProgram& program, const AsmInst& inst) {
+  if (inst.op != Op::kCall) return true;
+  const std::string& callee = inst.ops[0].label;
+  if (callee == "print_int" || callee == "print_f64") return false;
+  return program.find_function(callee) != nullptr;
+}
+
 }  // namespace ferrum::masm
