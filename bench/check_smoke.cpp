@@ -42,7 +42,7 @@ struct Config {
   const char* name;
   Technique technique;
   pipeline::BuildOptions options;
-  check::CheckOptions check_options;
+  check::AnalysisOptions check_options;
 };
 
 std::vector<Config> configs() {

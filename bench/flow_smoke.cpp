@@ -40,7 +40,6 @@
 #include "workloads/workloads.h"
 
 using namespace ferrum;
-using check::flow::FlowOptions;
 using check::flow::FlowReport;
 using check::flow::Prediction;
 using pipeline::SelectiveOptions;
@@ -78,7 +77,8 @@ std::uint64_t profile_total(const FlowReport& report) {
 }
 
 void check_report(const std::string& label, const masm::AsmProgram& program,
-                  const FlowReport& report, const FlowOptions& options) {
+                  const FlowReport& report,
+                  const check::AnalysisOptions& options) {
   if (report.sites.empty()) {
     fail(label + ": flow produced no sites");
     return;
@@ -255,8 +255,7 @@ int main() {
         pipeline::BuildOptions options;
         options.ferrum.protect_store_data = config.store_data;
         build = pipeline::build(workload.source, config.technique, options);
-        FlowOptions flow_options;
-        flow_options.store_data_sites = config.store_data;
+        const check::AnalysisOptions flow_options{config.store_data};
         result = check::flow::flow_program(build.program, flow_options);
         check_report(label, build.program, result, flow_options);
       } catch (const std::exception& e) {

@@ -169,6 +169,18 @@ bool write_stats(const std::string& path, const telemetry::Json& metrics,
   return ok;
 }
 
+/// Adds the section table and the flow predictions of `analysis` next to
+/// a check or prune table: per static site its section id, reachable-sink
+/// mask and predicted dynamic outcome; per section its dataflow interface
+/// (live-in/live-out sets, sync boundary kind, memory footprint).
+void add_sections_and_flow(telemetry::Json& out,
+                           const check::flow::AnalysisSet& analysis,
+                           const masm::AsmProgram& program) {
+  out["sections"] =
+      check::sections::to_json(analysis.sections, program, analysis.check);
+  out["flow"] = check::flow::to_json(analysis.flow, program);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -523,11 +535,29 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Pipeline pass timing is wall-clock, hence wallclock-section data.
+  telemetry::Json pass_seconds = telemetry::Json::array();
+  for (const auto& [pass, seconds] : build.pass_seconds) {
+    telemetry::Json entry = telemetry::Json::object();
+    entry[pass] = seconds;
+    pass_seconds.push_back(entry);
+  }
+  // A protected build carries protect-check's report, made under the
+  // default options lint and sites use: they reuse it, not check again.
+  const check::CheckReport* protect_check =
+      asm_input || technique == Technique::kNone ? nullptr
+                                                 : &build.check_report;
 
   if (lint) {
-    check::CheckOptions check_options;
-    const check::CheckReport report =
-        check::check_program(build.program, check_options);
+    check::flow::AnalysisSet analysis;
+    if (lint_json) {
+      analysis = check::flow::analyze(build.program, {}, protect_check);
+    } else {
+      analysis.check = protect_check != nullptr
+                           ? *protect_check
+                           : check::check_program(build.program);
+    }
+    const check::CheckReport& report = analysis.check;
     for (const check::Violation& violation : report.violations) {
       std::fprintf(stderr, "%s\n", check::to_string(violation).c_str());
     }
@@ -537,20 +567,8 @@ int main(int argc, char** argv) {
       // protection status (check) + dead-bit mask and equivalence class
       // (prune) per site.
       telemetry::Json out = check::to_json(report);
-      out["prune"] = check::prune::to_json(
-          check::prune::prune_program(build.program), build.program);
-      // The section decomposition rides along: every static fault site
-      // is tagged with its section id, and each section carries its
-      // dataflow interface (live-in/live-out, sync boundary kind).
-      out["sections"] =
-          check::sections::to_json(check::sections::build_sections(
-                                       build.program),
-                                   build.program);
-      // ... and the flow predictions: per site the reachable-sink mask
-      // and the predicted dynamic outcome (masked/detected/crash-prone/
-      // sdc-vulnerable), plus the profile counters.
-      out["flow"] = check::flow::to_json(
-          check::flow::flow_program(build.program), build.program);
+      out["prune"] = check::prune::to_json(analysis.prune, build.program);
+      add_sections_and_flow(out, analysis, build.program);
       std::fputs(out.dump().c_str(), stdout);
       std::fputc('\n', stdout);
     } else {
@@ -592,14 +610,8 @@ int main(int argc, char** argv) {
       metrics["technique"] =
           asm_input ? "asm-input" : pipeline::technique_name(technique);
       metrics["lint"] = check::to_json(report);
-      telemetry::Json lint_pass_seconds = telemetry::Json::array();
-      for (const auto& [pass, seconds] : build.pass_seconds) {
-        telemetry::Json entry = telemetry::Json::object();
-        entry[pass] = seconds;
-        lint_pass_seconds.push_back(entry);
-      }
       telemetry::Json wallclock = telemetry::Json::object();
-      wallclock["pass_seconds"] = lint_pass_seconds;
+      wallclock["pass_seconds"] = pass_seconds;
       if (!write_stats(stats_path, metrics, wallclock)) return 1;
     }
     return report.clean() ? 0 : 1;
@@ -613,27 +625,12 @@ int main(int argc, char** argv) {
     std::fputs(masm::print(build.program).c_str(), stdout);
     return 0;
   }
-  // Pipeline pass timing is wall-clock, hence wallclock-section data.
-  telemetry::Json pass_seconds = telemetry::Json::array();
-  for (const auto& [pass, seconds] : build.pass_seconds) {
-    telemetry::Json entry = telemetry::Json::object();
-    entry[pass] = seconds;
-    pass_seconds.push_back(entry);
-  }
 
   if (command == "sites") {
-    const check::prune::PruneReport report =
-        check::prune::prune_program(build.program);
-    telemetry::Json out = check::prune::to_json(report, build.program);
-    // Section decomposition next to the liveness/equivalence table: per
-    // static site the owning section id, per section its interface
-    // (live-in/live-out sets, sync boundary kind, memory footprint).
-    out["sections"] = check::sections::to_json(
-        check::sections::build_sections(build.program), build.program);
-    // Flow predictions next to both: the per-site reachable-sink mask
-    // and predicted dynamic outcome.
-    out["flow"] = check::flow::to_json(
-        check::flow::flow_program(build.program), build.program);
+    const check::flow::AnalysisSet analysis =
+        check::flow::analyze(build.program, {}, protect_check);
+    telemetry::Json out = check::prune::to_json(analysis.prune, build.program);
+    add_sections_and_flow(out, analysis, build.program);
     std::fputs(out.dump().c_str(), stdout);
     std::fputc('\n', stdout);
     if (!stats_path.empty()) {
@@ -728,9 +725,8 @@ int main(int argc, char** argv) {
     audit_options.ckpt_stride = ckpt_stride;
     check::prune::PruneReport prune_report;
     if (prune) {
-      check::prune::PruneOptions prune_options;
-      prune_options.store_data_sites = audit_options.vm.fault_store_data;
-      prune_report = check::prune::prune_program(build.program, prune_options);
+      prune_report = check::prune::prune_program(
+          build.program, {audit_options.vm.fault_store_data});
       audit_options.prune = &prune_report;
     }
     const fault::AuditReport report =
@@ -778,14 +774,12 @@ int main(int argc, char** argv) {
     // checkpointed entry state, compose the summaries. --incremental
     // routes per-section summaries through the content-addressed store,
     // so only sections whose code or entry states changed re-inject.
-    check::sections::SectionOptions section_options;
     fault::ComposeOptions options;
     options.trials = static_cast<std::uint64_t>(trials);
     options.jobs = jobs;
     options.ckpt_stride = ckpt_stride;
     options.vm.fault_store_data = store_data;
     options.max_half_width = max_half_width;
-    section_options.store_data_sites = store_data;
     if (seed >= 0) options.seed = static_cast<std::uint64_t>(seed);
     if (burst >= 1) options.burst = burst;
     std::unique_ptr<service::ResultCache> cache;
@@ -809,7 +803,7 @@ int main(int argc, char** argv) {
       };
     }
     const check::sections::SectionMap map =
-        check::sections::build_sections(build.program, section_options);
+        check::sections::build_sections(build.program, {store_data});
     fault::ComposeReport report;
     try {
       report = fault::compose_campaign(build.program, map, options);
@@ -870,9 +864,8 @@ int main(int argc, char** argv) {
     }
     check::prune::PruneReport prune_report;
     if (prune) {
-      check::prune::PruneOptions prune_options;
-      prune_options.store_data_sites = options.vm.fault_store_data;
-      prune_report = check::prune::prune_program(build.program, prune_options);
+      prune_report = check::prune::prune_program(
+          build.program, {options.vm.fault_store_data});
       options.prune = &prune_report;
     }
     const auto result = fault::run_campaign(build.program, options);

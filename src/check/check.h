@@ -90,7 +90,8 @@ struct SiteRecord {
   std::string reason;   // why the status was assigned
 };
 
-struct CheckOptions {
+/// The options of check, prune, sections and flow alike.
+struct AnalysisOptions {
   /// Enumerate kStoreData sites. Must mirror VmOptions::fault_store_data
   /// of the audit being cross-validated, or containment keys will drift.
   bool store_data_sites = false;
@@ -98,7 +99,10 @@ struct CheckOptions {
 
 struct CheckReport {
   std::vector<Violation> violations;
-  std::vector<SiteRecord> sites;  // block/inst order per function
+  /// Block/inst order per function. A site in a block the fixpoint never
+  /// reaches (it never enters a detect block) has no record.
+  std::vector<SiteRecord> sites;
+  bool store_data_sites = false;  // the options the report was built under
   std::uint64_t protected_sites = 0;
   std::uint64_t benign_sites = 0;
   std::uint64_t unprotected_sites = 0;
@@ -110,7 +114,7 @@ struct CheckReport {
 };
 
 CheckReport check_program(const masm::AsmProgram& program,
-                          const CheckOptions& options = {});
+                          const AnalysisOptions& options = {});
 
 /// Deterministic JSON view: violation list, per-status counters, and the
 /// full site table (unprotected sites always listed; protected/benign

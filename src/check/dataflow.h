@@ -173,12 +173,6 @@ class BackwardDataflow {
   int target(std::size_t f, std::size_t b, std::size_t i) const {
     return fns_[f].target[b][i];
   }
-  /// Whether one executed instance pushes a return address: every op but
-  /// a call to a builtin or to an unknown name (masm::static_site_of).
-  bool pushes_ret(std::size_t f, std::size_t b, std::size_t i) const {
-    return prog_.functions[f].blocks[b].insts[i].op != masm::Op::kCall ||
-           fns_[f].callee[b][i] >= 0;
-  }
 
   /// The state after every instruction of f, under f's final context.
   std::vector<std::vector<State>> after_states(std::size_t f) const {

@@ -1,14 +1,12 @@
 #include "check/flow.h"
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "check/check.h"
 #include "check/dataflow.h"
-#include "check/prune.h"
-#include "check/sections.h"
 
 namespace ferrum::check::flow {
 namespace {
@@ -452,7 +450,7 @@ struct Reach {
 
 class Analyzer {
  public:
-  Analyzer(const AsmProgram& program, const FlowOptions& options)
+  Analyzer(const AsmProgram& program, const AnalysisOptions& options)
       : prog_(program), opts_(options), df_(program, Reach{program}) {}
 
   /// The sink mask of the location(s) a site writes, read off the
@@ -495,25 +493,16 @@ class Analyzer {
     return Prediction::kMasked;
   }
 
-  FlowReport build_report() const {
+  /// The report, folding in the companion analyses: prune's dead-bit
+  /// proof, check's protected/benign classification, and the section
+  /// decomposition for the per-section profile. All three were built
+  /// under opts_, so site enumerations line up.
+  FlowReport build_report(const CheckReport& checked,
+                          const prune::PruneReport& pruned,
+                          const sections::SectionMap& section_map) const {
     FlowReport report;
     report.store_data_sites = opts_.store_data_sites;
     const int nfuncs = static_cast<int>(prog_.functions.size());
-
-    // The companion analyses the predictions fold in: prune's dead-bit
-    // proof, check's protected/benign classification, and the section
-    // decomposition for the per-section profile. All three share the
-    // store-data knob so site enumerations line up.
-    prune::PruneOptions prune_options;
-    prune_options.store_data_sites = opts_.store_data_sites;
-    const prune::PruneReport pruned = prune::prune_program(prog_, prune_options);
-    CheckOptions check_options;
-    check_options.store_data_sites = opts_.store_data_sites;
-    const CheckReport checked = check_program(prog_, check_options);
-    sections::SectionOptions section_options;
-    section_options.store_data_sites = opts_.store_data_sites;
-    const sections::SectionMap section_map =
-        sections::build_sections(prog_, section_options);
 
     // check::SiteRecord keys by function *name*; index for O(1) joins.
     std::map<std::tuple<std::string, int, int, int>, SiteStatus> check_status;
@@ -526,20 +515,18 @@ class Analyzer {
 
     report.by_function.resize(static_cast<std::size_t>(nfuncs));
     report.by_section.resize(section_map.sections.size());
-    report.site_at_.resize(static_cast<std::size_t>(nfuncs));
+    // The walk below meets prune's sites, in prune's order.
+    report.site_at_ = pruned.site_at_;
 
     for (int f = 0; f < nfuncs; ++f) {
       const AsmFunction& fn = prog_.functions[static_cast<std::size_t>(f)];
       const auto after = df_.after_states(f);
-      auto& fn_index = report.site_at_[static_cast<std::size_t>(f)];
-      fn_index.resize(fn.blocks.size());
       for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
         const auto& insts = fn.blocks[b].insts;
-        fn_index[b].assign(insts.size(), -1);
         for (std::size_t i = 0; i < insts.size(); ++i) {
           const AsmInst& inst = insts[i];
           const masm::StaticSiteInfo info = masm::static_site_of(
-              inst, opts_.store_data_sites, df_.pushes_ret(f, b, i));
+              inst, opts_.store_data_sites, masm::call_pushes_ret(prog_, inst));
           if (!info.has_site) continue;
 
           FlowSite site;
@@ -561,12 +548,11 @@ class Analyzer {
           // store in an unprotected build), so "never observed" there is
           // not a masking proof. It only corroborates — the basis is
           // recorded when flow independently found no sinks at all.
-          const prune::PruneSite* dead = pruned.find(
-              f, static_cast<int>(b), static_cast<int>(i));
+          const prune::PruneSite& dead = pruned.sites[report.sites.size()];
           const auto status_it = check_status.find(std::make_tuple(
               fn.name, static_cast<int>(b), static_cast<int>(i),
               static_cast<int>(info.kind)));
-          if (dead != nullptr && dead->fully_dead()) {
+          if (dead.fully_dead()) {
             site.prediction = Prediction::kMasked;
             site.basis = PredictionBasis::kPruneDead;
           } else if (status_it != check_status.end() &&
@@ -589,7 +575,6 @@ class Analyzer {
             report.by_section[static_cast<std::size_t>(site.section)].add(
                 site.prediction);
           }
-          fn_index[b][i] = static_cast<std::int32_t>(report.sites.size());
           report.sites.push_back(site);
         }
       }
@@ -599,7 +584,7 @@ class Analyzer {
 
  private:
   const AsmProgram& prog_;
-  FlowOptions opts_;
+  AnalysisOptions opts_;
   const dataflow::BackwardDataflow<Reach> df_;
 };
 
@@ -641,9 +626,25 @@ const char* prediction_basis_name(PredictionBasis basis) {
   return "?";
 }
 
+AnalysisSet analyze(const AsmProgram& program, const AnalysisOptions& options,
+                    const CheckReport* check) {
+  if (check != nullptr && check->store_data_sites != options.store_data_sites) {
+    throw std::invalid_argument(
+        "analyze: the check report's store_data_sites differs from the "
+        "options'");
+  }
+  AnalysisSet set;
+  set.check = check != nullptr ? *check : check_program(program, options);
+  set.prune = prune::prune_program(program, options);
+  set.sections = sections::build_sections(program, options);
+  set.flow = Analyzer(program, options)
+                 .build_report(set.check, set.prune, set.sections);
+  return set;
+}
+
 FlowReport flow_program(const AsmProgram& program,
-                        const FlowOptions& options) {
-  return Analyzer(program, options).build_report();
+                        const AnalysisOptions& options) {
+  return analyze(program, options).flow;
 }
 
 namespace {

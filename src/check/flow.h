@@ -47,6 +47,8 @@
 #include <string>
 #include <vector>
 
+#include "check/prune.h"
+#include "check/sections.h"
 #include "masm/fault_site.h"
 #include "masm/masm.h"
 #include "telemetry/json.h"
@@ -123,12 +125,6 @@ struct FlowProfile {
   void add(Prediction p) { ++count[static_cast<std::size_t>(p)]; }
 };
 
-struct FlowOptions {
-  /// Enumerate kStoreData sites. Must mirror VmOptions::fault_store_data
-  /// of the audit being cross-validated, or containment keys drift.
-  bool store_data_sites = false;
-};
-
 struct FlowReport {
   /// Program order: functions in order, blocks in order, instructions in
   /// order — the same enumeration prune and the VM use.
@@ -153,11 +149,28 @@ struct FlowReport {
   std::vector<std::vector<std::vector<std::int32_t>>> site_at_;
 };
 
-/// Runs the propagation analysis plus the prune, check and section passes
-/// it folds in (check_program once). Deterministic: depends only on the
-/// program and options.
+/// The four static analyses of one program under one store-data setting,
+/// each run once; flow's predictions read the other three.
+struct AnalysisSet {
+  CheckReport check;
+  prune::PruneReport prune;
+  sections::SectionMap sections;
+  FlowReport flow;
+};
+
+/// Runs the four analyses. A caller holding the program's check report
+/// (a protected pipeline::Build's protect-check report) passes it as
+/// `check`, and the set copies it instead of running check. Throws
+/// std::invalid_argument if that report's store-data setting differs.
+AnalysisSet analyze(const masm::AsmProgram& program,
+                    const AnalysisOptions& options = {},
+                    const CheckReport* check = nullptr);
+
+/// analyze(program, options).flow: the propagation analysis, after the
+/// check, prune and section runs its predictions fold in. Deterministic:
+/// depends only on the program and options.
 FlowReport flow_program(const masm::AsmProgram& program,
-                        const FlowOptions& options = {});
+                        const AnalysisOptions& options = {});
 
 /// Deterministic JSON view: profile counters (whole-program / per
 /// function / per section) and the full site table.

@@ -357,7 +357,7 @@ struct Liveness {
 
 class Analyzer {
  public:
-  Analyzer(const AsmProgram& program, const PruneOptions& options)
+  Analyzer(const AsmProgram& program, const AnalysisOptions& options)
       : prog_(program), opts_(options), df_(program, Liveness{}) {}
 
   /// Register-granular taint footprint used by the propagation-slice
@@ -473,7 +473,7 @@ class Analyzer {
         for (std::size_t i = 0; i < insts.size(); ++i) {
           const AsmInst& inst = insts[i];
           const masm::StaticSiteInfo info = masm::static_site_of(
-              inst, opts_.store_data_sites, df_.pushes_ret(f, b, i));
+              inst, opts_.store_data_sites, masm::call_pushes_ret(prog_, inst));
           if (!info.has_site) continue;
 
           PruneSite site;
@@ -558,14 +558,14 @@ class Analyzer {
 
  private:
   const AsmProgram& prog_;
-  PruneOptions opts_;
+  AnalysisOptions opts_;
   const dataflow::BackwardDataflow<Liveness> df_;
 };
 
 }  // namespace
 
 PruneReport prune_program(const AsmProgram& program,
-                          const PruneOptions& options) {
+                          const AnalysisOptions& options) {
   return Analyzer(program, options).build_report();
 }
 

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "masm/fault_site.h"
 #include "masm/masm.h"
 #include "telemetry/json.h"
@@ -98,12 +99,6 @@ struct PruneClass {
   std::uint32_t representative = 0;
 };
 
-struct PruneOptions {
-  /// Enumerate kStoreData sites. Must mirror VmOptions::fault_store_data
-  /// of the campaign/audit consuming the report, or site indices drift.
-  bool store_data_sites = false;
-};
-
 struct PruneReport {
   /// Program order: functions in order, blocks in order, instructions in
   /// order — exactly the order the VM would first meet them statically.
@@ -138,10 +133,11 @@ struct PruneReport {
   std::vector<std::vector<std::vector<std::int32_t>>> site_at_;
 };
 
-/// Runs the liveness + equivalence analysis. Deterministic: depends only
-/// on the program and options.
+/// Runs the liveness + equivalence analysis over every site
+/// masm::static_site_of enumerates. Deterministic: depends only on the
+/// program and options.
 PruneReport prune_program(const masm::AsmProgram& program,
-                          const PruneOptions& options = {});
+                          const AnalysisOptions& options = {});
 
 /// Deterministic JSON view: summary counters, class table, and the full
 /// site table (function/block/inst, kind, bit space, dead mask, class).

@@ -18,7 +18,8 @@
 // masm::effects_of (the store choke point's static mirror), so
 // build_sections needs nothing but masm. The master/duplicate pairing
 // from ferrum-check's abstract domain (per-section counts of protected /
-// benign / unprotected sites) is joined only by to_json, its one reader.
+// benign / unprotected sites) is joined only by to_json, its one reader,
+// from a check report its caller hands in.
 //
 // Layering: this analysis lives in ferrum_check, but SectionMap is plain
 // data with inline lookups only, so ferrum_fault's composition layer
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "masm/cfg.h"
 #include "masm/masm.h"
 #include "telemetry/json.h"
@@ -78,15 +80,12 @@ struct Section {
   SectionInterface interface;
 };
 
-struct SectionOptions {
-  /// Enumerate kStoreData sites when counting static_sites (and, in
-  /// to_json, the checker classification). Must mirror
-  /// VmOptions::fault_store_data of any campaign composed over this map.
-  bool store_data_sites = false;
-};
-
 struct SectionMap {
   std::vector<Section> sections;  // program order
+  /// The options' store-data setting, which static_sites and to_json
+  /// enumerate under. Must mirror VmOptions::fault_store_data of any
+  /// campaign composed over this map.
+  bool store_data_sites = false;
   /// section_at[function][block][inst] -> section id. Inline data so
   /// ferrum_fault can resolve dynamic sites without linking this lib.
   std::vector<std::vector<std::vector<std::int32_t>>> section_at;
@@ -101,16 +100,20 @@ struct SectionMap {
 /// Decomposes the program. Deterministic: depends only on the program
 /// text and options.
 SectionMap build_sections(const masm::AsmProgram& program,
-                          const SectionOptions& options = {});
+                          const AnalysisOptions& options = {});
 
 /// Deterministic JSON: the section table (with interfaces, each with its
-/// sites' ferrum-check classification counts, for which this runs
-/// check_program) plus a per-fault-site membership table ("sites": every
-/// static fault site with its section id), so section membership is
-/// inspectable from `ferrumc sites` / `ferrumc lint=json` without running
-/// a campaign.
+/// sites' ferrum-check classification counts, read from `check`) plus a
+/// per-fault-site membership table ("sites": every static fault site with
+/// its section id), so section membership is inspectable from `ferrumc
+/// sites` / `ferrumc lint=json` without running a campaign. `check` must
+/// have been built under the map's store-data setting.
 telemetry::Json to_json(const SectionMap& map,
                         const masm::AsmProgram& program,
-                        const SectionOptions& options = {});
+                        const CheckReport& check);
+
+/// The same JSON, running check_program for `check`.
+telemetry::Json to_json(const SectionMap& map,
+                        const masm::AsmProgram& program);
 
 }  // namespace ferrum::check::sections

@@ -135,9 +135,8 @@ Build build(std::string_view source, Technique technique,
     // requisitions, ...). Any violation means the protection pass
     // emitted a check that cannot detect what it claims to.
     PassScope scope(result, "protect-check");
-    check::CheckOptions check_options;
-    check_options.store_data_sites = options.ferrum.protect_store_data;
-    result.check_report = check::check_program(result.program, check_options);
+    result.check_report = check::check_program(
+        result.program, {options.ferrum.protect_store_data});
     if (!result.check_report.clean()) {
       std::string problems;
       for (const check::Violation& violation : result.check_report.violations) {

@@ -64,9 +64,8 @@ SelectivePlan plan_selective(const masm::AsmProgram& program,
   shape.coverage_ratio = 1.0;
   plan.universe = eddi::enumerate_protectable_sites(program, shape);
 
-  check::flow::FlowOptions flow_options;
-  flow_options.store_data_sites = protect_options.protect_store_data;
-  plan.flow = check::flow::flow_program(program, flow_options);
+  plan.flow = check::flow::flow_program(
+      program, {protect_options.protect_store_data});
 
   const int n = static_cast<int>(plan.universe.size());
   const double budget = std::clamp(options.budget, 0.0, 1.0);

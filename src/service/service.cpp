@@ -331,9 +331,8 @@ void Daemon::execute(Task& task) {
       check::prune::PruneReport prune_report;
       std::shared_ptr<const SharedProgramState> shared;
       if (cell.prune) {
-        check::prune::PruneOptions prune_options;
-        prune_options.store_data_sites = options.vm.fault_store_data;
-        prune_report = check::prune::prune_program(*program, prune_options);
+        prune_report = check::prune::prune_program(
+            *program, {options.vm.fault_store_data});
         options.prune = &prune_report;
       } else {
         // Cross-cell reuse: the golden walk for this program happened at

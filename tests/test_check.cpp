@@ -113,7 +113,7 @@ TEST(Check, CleanAcrossFerrumAblations) {
   for (const auto& workload : workloads::all()) {
     for (int cfg = 0; cfg < 5; ++cfg) {
       pipeline::BuildOptions options;
-      check::CheckOptions check_options;
+      check::AnalysisOptions check_options;
       switch (cfg) {
         case 0: options.ferrum.use_simd = false; break;
         case 1: options.ferrum.simd_batch = 1; break;
