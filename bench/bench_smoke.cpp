@@ -471,6 +471,18 @@ int main(int argc, char** argv) {
       fail("bench_service did not share golden runs across same-program "
            "cells");
     }
+    const Json* repeat =
+        metrics != nullptr ? metrics->find("cold_reps_match") : nullptr;
+    if (repeat == nullptr || !repeat->as_bool()) {
+      fail("bench_service cold repetitions returned different bytes");
+    }
+    const Json* wallclock = service->find("wallclock");
+    for (const char* key :
+         {"cold_cells_per_second", "best_cold_cells_per_second", "reps"}) {
+      if (wallclock == nullptr || wallclock->find(key) == nullptr) {
+        fail(std::string("bench_service wallclock lacks ") + key);
+      }
+    }
   }
 
   if (failures == 0) std::printf("bench_smoke: all checks passed\n");
