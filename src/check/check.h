@@ -113,6 +113,8 @@ struct CheckReport {
   }
 };
 
+/// Throws std::runtime_error, naming the function, if a function's
+/// fixpoint needs more than 1000 block walks per block to converge.
 CheckReport check_program(const masm::AsmProgram& program,
                           const AnalysisOptions& options = {});
 
