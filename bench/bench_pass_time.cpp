@@ -3,13 +3,21 @@
 // on average (min 0.089 s for BFS at 406 static instructions, max 0.196 s
 // for Particlefilter at 2230) and observes the time is linear in the
 // static instruction count — the final benchmark checks that scaling
-// directly on synthetic program sizes.
+// directly on synthetic program sizes. The artifact also times the
+// protect-check verifier (check_program) over the protected builds.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <vector>
 
 #include "backend/backend.h"
 #include "bench_util.h"
+#include "check/check.h"
 #include "eddi/ferrum.h"
 #include "frontend/codegen.h"
+#include "pipeline/pipeline.h"
 #include "support/source_location.h"
 #include "telemetry/json.h"
 #include "workloads/workloads.h"
@@ -72,13 +80,50 @@ void BM_FerrumPassScaling(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(original.inst_count()));
 }
 
+/// One-thread passes of check_program over the 8 workloads x 4 techniques
+/// at scale 1: the median and the fastest pass, in seconds.
+telemetry::Json check_program_seconds() {
+  constexpr int kReps = 5;
+  std::vector<masm::AsmProgram> programs;
+  for (const auto& w : workloads::all()) {
+    for (const auto technique :
+         {pipeline::Technique::kNone, pipeline::Technique::kIrEddi,
+          pipeline::Technique::kHybrid, pipeline::Technique::kFerrum}) {
+      programs.push_back(pipeline::build(w.source, technique).program);
+    }
+  }
+  std::vector<double> seconds;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    std::uint64_t sites = 0;
+    for (const auto& program : programs) {
+      sites += check::check_program(program).total_sites();
+    }
+    seconds.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    benchmark::DoNotOptimize(sites);
+  }
+  std::sort(seconds.begin(), seconds.end());
+  telemetry::Json row = telemetry::Json::object();
+  row["median_seconds"] = seconds[kReps / 2];
+  row["best_seconds"] = seconds.front();
+  row["reps"] = kReps;
+  row["programs"] = static_cast<std::uint64_t>(programs.size());
+  std::printf("check_program over %zu programs: %.1f ms median, %.1f ms "
+              "best of %d passes\n",
+              programs.size(), seconds[kReps / 2] * 1e3,
+              seconds.front() * 1e3, kReps);
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // The telemetry artifact is written up front (google-benchmark's own
   // timing output stays on stdout): one FERRUM pass per workload, static
-  // footprint + pass stats under `metrics`, pass wall time under
-  // `wallclock`.
+  // footprint + pass stats under `metrics`, pass wall time and the
+  // check_program passes under `wallclock`.
   {
     benchutil::BenchReport report("bench_pass_time");
     for (const auto& w : workloads::all()) {
@@ -96,6 +141,7 @@ int main(int argc, char** argv) {
       report.metrics()["workloads"][w.name] = row;
       report.wallclock()["pass_seconds"][w.name] = pass.seconds;
     }
+    report.wallclock()["check_program"] = check_program_seconds();
     report.write();
   }
 

@@ -267,6 +267,20 @@ void check_bench_vm(const Json& artifact) {
   }
 }
 
+/// Schema check on bench_pass_time's check_program row: the median and
+/// fastest of its passes and their count.
+void check_pass_time(const Json& artifact) {
+  const Json* wallclock = artifact.find("wallclock");
+  const Json* row =
+      wallclock != nullptr ? wallclock->find("check_program") : nullptr;
+  for (const char* key : {"median_seconds", "best_seconds", "reps"}) {
+    if (row == nullptr || row->find(key) == nullptr) {
+      fail(std::string("bench_pass_time wallclock lacks check_program.") +
+           key);
+    }
+  }
+}
+
 /// Schema check on trial_ledger's tail rates: the `none` and IR-EDDI
 /// technique rows carry the best-repetition and median tail rates.
 void check_trial_ledger(const Json& artifact) {
@@ -427,6 +441,11 @@ int main(int argc, char** argv) {
 
   if (const auto vm = check_artifact(out_dir, "bench_vm"); vm.has_value()) {
     check_bench_vm(*vm);
+  }
+
+  if (const auto pass_time = check_artifact(out_dir, "bench_pass_time");
+      pass_time.has_value()) {
+    check_pass_time(*pass_time);
   }
 
   if (const auto ledger = check_artifact(out_dir, "trial_ledger");
