@@ -1,9 +1,10 @@
 // The interprocedural backward dataflow driver that ferrum-prune (bit
 // liveness) and ferrum-flow (sink reachability) run their domains on
 // (DESIGN.md, "Backward dataflow driver"). It owns the resolution of
-// jcc/jmp targets and callees, the block walk, the per-function solve,
-// the bottom-up summary fixpoint and the top-down context fixpoint. A
-// domain supplies its lattice and transfer, statically:
+// callees (jcc/jmp targets come from masm::jump_targets), the block walk,
+// the per-function solve, the bottom-up summary fixpoint and the top-down
+// context fixpoint. A domain supplies its lattice and transfer,
+// statically:
 //
 //   using State, Summary;  // both with ==; State::join; State{} is empty
 //   std::vector<State> summary_seeds() const;  // a summary's exit seeds
@@ -114,12 +115,8 @@ class BackwardDataflow {
     callers_.resize(nfuncs);
     for (std::size_t f = 0; f < nfuncs; ++f) {
       const auto& blocks = prog_.functions[f].blocks;
-      std::unordered_map<std::string, int> block_by_label;
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        block_by_label.emplace(blocks[b].label, static_cast<int>(b));
-      }
       Tables& t = fns_[f];
-      t.target.resize(blocks.size());
+      t.target = masm::jump_targets(prog_.functions[f]);
       t.callee.resize(blocks.size());
       t.users.resize(blocks.size());
       // Block b reads the state-in of b+1 (the walk's fall-through seed,
@@ -127,16 +124,12 @@ class BackwardDataflow {
       Graph succ(blocks.size());
       for (std::size_t b = 0; b < blocks.size(); ++b) {
         const auto& insts = blocks[b].insts;
-        t.target[b].assign(insts.size(), -1);
         t.callee[b].assign(insts.size(), kCalleeUnknown);
         if (b + 1 < blocks.size()) succ[b].push_back(b + 1);
         for (std::size_t i = 0; i < insts.size(); ++i) {
           const std::string& label = insts[i].ops[0].label;
-          if (insts[i].op == masm::Op::kJmp || insts[i].op == masm::Op::kJcc) {
-            const auto it = block_by_label.find(label);
-            if (it == block_by_label.end()) continue;
-            t.target[b][i] = it->second;
-            succ[b].push_back(static_cast<std::size_t>(it->second));
+          if (t.target[b][i] >= 0) {
+            succ[b].push_back(static_cast<std::size_t>(t.target[b][i]));
           } else if (insts[i].op == masm::Op::kCall) {
             // Builtins precede the function lookup, mirroring the decoder
             // (a user function named print_int is unreachable).

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 namespace ferrum::masm {
 
@@ -323,6 +325,22 @@ int AsmFunction::block_index(const std::string& label) const {
     if (blocks[i].label == label) return static_cast<int>(i);
   }
   return -1;
+}
+
+std::vector<std::vector<int>> jump_targets(const AsmFunction& fn) {
+  std::unordered_map<std::string_view, int> by_label;  // the first one wins
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b)
+    by_label.emplace(fn.blocks[b].label, static_cast<int>(b));
+  std::vector<std::vector<int>> target(fn.blocks.size());
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    for (const AsmInst& inst : fn.blocks[b].insts) {
+      const auto it = inst.op == Op::kJmp || inst.op == Op::kJcc
+                          ? by_label.find(inst.ops[0].label)
+                          : by_label.end();
+      target[b].push_back(it == by_label.end() ? -1 : it->second);
+    }
+  }
+  return target;
 }
 
 std::size_t AsmFunction::inst_count() const {

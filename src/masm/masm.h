@@ -181,6 +181,11 @@ struct AsmFunction {
   std::size_t inst_count() const;
 };
 
+/// The block each jcc/jmp of fn jumps to, by [block][inst]: the first
+/// block with its label, as block_index finds, or -1 for an unknown label
+/// and for every other instruction. Each label is looked up once.
+std::vector<std::vector<int>> jump_targets(const AsmFunction& fn);
+
 struct AsmGlobal {
   std::string name;
   std::int64_t size_bytes = 0;

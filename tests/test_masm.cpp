@@ -95,6 +95,22 @@ TEST(Program, LookupHelpers) {
   EXPECT_EQ(program.find_function("nope"), nullptr);
 }
 
+TEST(Program, JumpTargetsTakeTheFirstBlockWithALabel) {
+  AsmFunction fn{"main", {}};
+  fn.blocks.push_back(
+      {".a", {AsmInst(Op::kJmp, {Operand::make_label(".b")})}});
+  fn.blocks.push_back(
+      {".b",
+       {AsmInst(Op::kJcc, Cond::kNe, {Operand::make_label(".a")}),
+        AsmInst(Op::kJmp, {Operand::make_label(".nope")}),
+        AsmInst(Op::kCall, {Operand::make_func(".a")}),
+        AsmInst(Op::kRet, {})}});
+  fn.blocks.push_back({".b", {}});
+  const std::vector<std::vector<int>> expected = {{1}, {0, -1, -1, -1}, {}};
+  EXPECT_EQ(jump_targets(fn), expected);
+  EXPECT_EQ(fn.block_index(".b"), 1);
+}
+
 TEST(Effects, MovRegReg) {
   AsmInst inst(Op::kMov, {Operand::make_reg(Gpr::kRcx, 8),
                           Operand::make_reg(Gpr::kRax, 8)});
