@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +20,9 @@
 #include "check/flow.h"
 #include "check/prune.h"
 #include "check/sections.h"
+#include "fault/audit.h"
+#include "fault/campaign.h"
+#include "fault/compose.h"
 #include "fuzz_program.h"
 #include "masm/fault_site.h"
 #include "masm/parser.h"
@@ -26,6 +30,7 @@
 #include "pipeline/selective.h"
 #include "support/hash.h"
 #include "support/source_location.h"
+#include "telemetry/export.h"
 #include "vm/vm.h"
 #include "workloads/workloads.h"
 
@@ -887,6 +892,126 @@ TEST(Goldens, SelectivePlansPinned) {
       sha.update(text + "\n");
     }
     EXPECT_EQ(sha.hex_digest(), digest) << name;
+  }
+}
+
+/// SHA-256 of a fault-layer result's deterministic JSON.
+template <typename Result>
+std::string result_sha(const Result& result) {
+  return sha256_hex(telemetry::to_json(result).dump());
+}
+
+TEST(Goldens, FaultResultsPinned) {
+  // Every campaign, audit and compose result the evaluation reports runs
+  // its trials from one golden run's checkpoints. A change to how that
+  // run is prepared, recorded or handed to the trials must not move one
+  // byte of these results; a deliberate change to the fault model
+  // updates this table. bfs at small trial counts keeps it cheap.
+  struct Pin {
+    Technique technique;
+    const char* campaign;
+    const char* multi_fault;
+    const char* adaptive;
+    const char* pruned_campaign;
+    const char* audit;
+    const char* pruned_audit;
+    const char* compose_audit;
+    const char* compose_campaign;
+  };
+  const Pin pins[] = {
+      {Technique::kNone,
+       "2b4401746edd0250fed1861b32bc674ae43fa3b09fa94f28320cf8b7a08d2731",
+       "2e65d84abc2e68b66bd80d6dac1d45ddbd8682cb25aa0f65d82061e61a5b710e",
+       "f499fa7fac3466b765bdb567f3b89ced94b08e2038b42ad1905fcc4873c0ff60",
+       "4c320de5cf2baccc7f34077aff64ce3f06eb82e7fea88e7c35d9c7f252839323",
+       "19fc07e21f5605faa2d4d3e9b0260c205a5d26ac969ebacb305c4f9a94fb4b9c",
+       "dfd5e57916d886fe947be810f494a51cf887465b3c08d70ad8b268a8257c190c",
+       "ec470d3e966e96650c77b8b63c5999d9f4a449945fed492d538b0ce98b106336",
+       "b65682291cac9d2a43d897c7da10c37fe5aebc5fd2cbd32a86d5eb154a994697"},
+      {Technique::kFerrum,
+       "78eae11a8ddd192d48346c4e4da8857795de2e138013780a200de94291e44f94",
+       "3318f891421d19cc555741c940db04013de9c5e8f4a58e5ca5e2de623a87032c",
+       "687d5994148de0c5aae69aa6a6912b2e71f2d1cbb86eb45c29f62051a5e31532",
+       "68505c2b91186ea385d8fb77e9b03a4a66c7ec87e75444139f6f323c486f1794",
+       "822d9837ffd4ecd243b0394ac2c51ed137b8a586044a037746566493139d3364",
+       "7053c0ddb0d4b698f86ac16081c3636a37206a941f75b426cd68ded5f56f078e",
+       "a25646d942a3ebbf2947e5aa92d06302334d105c2930a747070befca1d76e65a",
+       "0fd3bd3a7a52b8dbe2c2338fc85e245eb431ecb27957189dcd6f845b6d11df17"},
+  };
+  const std::string& source = workloads::by_name("bfs").source;
+  for (const Pin& pin : pins) {
+    const std::string name = pipeline::technique_name(pin.technique);
+    const auto build = pipeline::build(source, pin.technique);
+    const masm::AsmProgram& program = build.program;
+
+    fault::CampaignOptions campaign;
+    campaign.trials = 64;
+    campaign.seed = 0x901de2;
+    EXPECT_EQ(result_sha(fault::run_campaign(program, campaign)),
+              pin.campaign) << name << " campaign";
+
+    fault::CampaignOptions multi = campaign;
+    multi.faults_per_run = 2;
+    multi.burst = 3;
+    multi.vm.fault_store_data = true;
+    EXPECT_EQ(result_sha(fault::run_campaign(program, multi)),
+              pin.multi_fault) << name << " multi-fault";
+
+    fault::CampaignOptions adaptive = campaign;
+    adaptive.trials = 512;
+    adaptive.max_half_width = 0.1;
+    const fault::CampaignResult stopped =
+        fault::run_campaign(program, adaptive);
+    EXPECT_TRUE(stopped.adaptive.stopped_early) << name;
+    EXPECT_EQ(result_sha(stopped), pin.adaptive) << name << " adaptive";
+
+    const check::prune::PruneReport prune =
+        check::prune::prune_program(program);
+    fault::CampaignOptions pruned = campaign;
+    pruned.prune = &prune;
+    const fault::CampaignResult piloted = fault::run_campaign(program, pruned);
+    EXPECT_LT(piloted.prune.pilot_runs, 64u) << name;
+    EXPECT_EQ(result_sha(piloted), pin.pruned_campaign)
+        << name << " pruned campaign";
+
+    fault::AuditOptions audit;
+    audit.probe_bits = {5, 40};
+    EXPECT_EQ(result_sha(fault::audit_program(program, audit)), pin.audit)
+        << name << " audit";
+    audit.prune = &prune;
+    EXPECT_EQ(result_sha(fault::audit_program(program, audit)),
+              pin.pruned_audit) << name << " pruned audit";
+
+    const check::sections::SectionMap map =
+        check::sections::build_sections(program);
+    fault::ComposeOptions compose;
+    compose.probe_bits = {5, 40};
+    EXPECT_EQ(result_sha(fault::compose_audit(program, map, compose)),
+              pin.compose_audit) << name << " compose audit";
+
+    // Cold, then warm from the summaries the cold run stored: the
+    // deterministic JSON does not depend on the cache state.
+    std::map<std::string, std::string> cache;
+    compose.trials = 96;
+    compose.lookup = [&cache](const std::string& key)
+        -> std::optional<std::string> {
+      const auto it = cache.find(key);
+      if (it == cache.end()) return std::nullopt;
+      return it->second;
+    };
+    compose.store = [&cache](const std::string& key,
+                             const std::string& bytes) { cache[key] = bytes; };
+    const fault::ComposeReport cold =
+        fault::compose_campaign(program, map, compose);
+    EXPECT_EQ(cold.warm_sections, 0u) << name;
+    EXPECT_EQ(result_sha(cold), pin.compose_campaign)
+        << name << " compose campaign (cold)";
+    const fault::ComposeReport warm =
+        fault::compose_campaign(program, map, compose);
+    EXPECT_EQ(warm.cold_sections, 0u) << name;
+    EXPECT_EQ(warm.trials_executed, 0u) << name;
+    EXPECT_EQ(result_sha(warm), pin.compose_campaign)
+        << name << " compose campaign (warm)";
   }
 }
 
