@@ -19,8 +19,10 @@ Usage:
 An A/A run passes one revision as both sides; its interquartile ranges
 and win counts are the noise band of the machine. When --out already
 holds a result for the same two sides, the workloads run now replace or
-join its entries, so workloads can run with different pair counts. The
-script writes only under --scratch and to --out.
+join its entries, so workloads can run with different pair counts; when
+it holds a result for other revisions, the script stops before running
+anything, so a committed result is never overwritten. The script writes
+only under --scratch and to --out.
 """
 
 import argparse
@@ -42,8 +44,17 @@ def git(*args, stdin=None):
                           stdout=subprocess.PIPE, input=stdin).stdout
 
 
+def describe(rev, reverts):
+    """The revision and reverted commits of one side, as recorded."""
+    return {"rev": rev,
+            "commit": git("rev-parse", rev).decode().strip(),
+            "reverts": [git("rev-parse", c).decode().strip()
+                        for c in reverts]}
+
+
 def checkout(label, rev, reverts, scratch):
-    """Archives rev into scratch/label and reverse-applies each revert."""
+    """Archives rev into scratch/label and reverse-applies each revert;
+    returns the directory."""
     path = os.path.join(scratch, label)
     if os.path.exists(path):
         shutil.rmtree(path)
@@ -58,11 +69,7 @@ def checkout(label, rev, reverts, scratch):
     subprocess.run([sys.executable, "-c",
                     "import sys; sys.path.insert(0, 'perfbench'); "
                     "import run; run.build()"], cwd=path, check=True)
-    return {"rev": rev,
-            "commit": git("rev-parse", rev).decode().strip(),
-            "reverts": [git("rev-parse", c).decode().strip()
-                        for c in reverts],
-            "path": path}
+    return path
 
 
 def run_once(path, workload, seed, seconds, trace):
@@ -226,23 +233,24 @@ def main():
             parser.error(f"unknown workload {workload}")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         specs = json.load(handle)
-    sides = {"base": checkout("base", args.base, [], args.scratch),
-             "change": checkout("change", args.change, args.revert,
-                                args.scratch)}
     result = {"schema": "ferrum.ab.v1",
-              "base": {k: v for k, v in sides["base"].items()
-                       if k != "path"},
-              "change": {k: v for k, v in sides["change"].items()
-                         if k != "path"},
+              "base": describe(args.base, []),
+              "change": describe(args.change, args.revert),
               "seconds": specs["run_seconds"], "started": time.strftime(
                   "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "workloads": {}}
     if os.path.exists(args.out):
         with open(args.out) as handle:
             earlier = json.load(handle)
-        if all(earlier.get(k) == result[k]
-               for k in ("schema", "base", "change", "seconds")):
-            result["workloads"] = earlier["workloads"]
+        if not all(earlier.get(k) == result[k]
+                   for k in ("schema", "base", "change", "seconds")):
+            raise SystemExit(f"ab: {args.out} holds a result for other "
+                             "revisions; pass another --out")
+        result["workloads"] = earlier["workloads"]
+    sides = {"base": {"path": checkout("base", args.base, [],
+                                       args.scratch)},
+             "change": {"path": checkout("change", args.change,
+                                         args.revert, args.scratch)}}
     for workload in workloads:
         result["workloads"][workload] = run_workload(sides, workload, args,
                                                      specs)
