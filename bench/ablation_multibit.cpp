@@ -23,7 +23,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int trials = benchutil::env_trials(400);
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("ablation_multibit");
   report.metrics()["trials"] = trials;
   std::printf("Extension — multi-bit / multi-fault regimes under FERRUM "
@@ -46,7 +45,6 @@ int main() {
       fault::CampaignOptions options;
       options.trials = trials;
       options.jobs = jobs;
-      options.ckpt_stride = ckpt_stride;
       options.faults_per_run = modes[m].faults;
       options.burst = modes[m].burst;
       const auto result = fault::run_campaign(build.program, options);

@@ -21,7 +21,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int trials = benchutil::env_trials(400);
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("ablation_storedata");
   report.metrics()["trials"] = trials;
   std::printf("Ablation — extended fault model (store-data faults), "
@@ -34,7 +33,6 @@ int main() {
     fault::CampaignOptions campaign;
     campaign.trials = trials;
     campaign.jobs = jobs;
-    campaign.ckpt_stride = ckpt_stride;
     campaign.vm.fault_store_data = true;  // extended model for everyone
 
     auto raw_build = pipeline::build(w.source, Technique::kNone);

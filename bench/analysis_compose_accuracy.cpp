@@ -36,7 +36,6 @@ int main() {
   const int scale = benchutil::env_scale();
   const int trials = benchutil::env_trials();
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("analysis_compose_accuracy");
   report.metrics()["scale"] = scale;
 
@@ -77,7 +76,6 @@ int main() {
       fault::AuditOptions audit_options;
       audit_options.probe_bits = probe_bits;
       audit_options.jobs = jobs;
-      audit_options.ckpt_stride = ckpt_stride;
       audit_options.site_stride = site_stride;
       const fault::AuditReport audit =
           fault::audit_program(build.program, audit_options);
@@ -85,7 +83,6 @@ int main() {
       fault::ComposeOptions compose_options;
       compose_options.probe_bits = probe_bits;
       compose_options.jobs = jobs;
-      compose_options.ckpt_stride = ckpt_stride;
       compose_options.site_stride = site_stride;
       const fault::ComposeReport composed =
           fault::compose_audit(build.program, map, compose_options);
@@ -147,7 +144,6 @@ int main() {
       fault::ComposeOptions campaign_options;
       campaign_options.trials = static_cast<std::uint64_t>(trials);
       campaign_options.jobs = jobs;
-      campaign_options.ckpt_stride = ckpt_stride;
       campaign_options.lookup =
           [&cache](const std::string& key) -> std::optional<std::string> {
         const auto it = cache.find(key);

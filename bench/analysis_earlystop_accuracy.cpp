@@ -37,7 +37,6 @@ int main() {
   const int scale = benchutil::env_scale();
   const int trials = benchutil::env_trials(4096);
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   // FERRUM_CI_TARGET overrides the default 0.05 target; 0 would disable
   // the rule and make the experiment vacuous, so clamp to the default.
   double target = env_ci_target(0.05);
@@ -89,7 +88,6 @@ int main() {
         options.trials = trials;
         options.seed = 0xa5e0u + 977u * static_cast<unsigned>(r);
         options.jobs = jobs;
-        options.ckpt_stride = ckpt_stride;
         const fault::CampaignResult full =
             fault::run_campaign(build.program, options);
         options.max_half_width = target;

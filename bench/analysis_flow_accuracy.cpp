@@ -223,7 +223,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int scale = benchutil::env_scale();
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("analysis_flow_accuracy");
   report.metrics()["scale"] = scale;
 
@@ -255,7 +254,6 @@ int main() {
       audit_options.probe_bits =
           scale <= 1 ? std::vector<int>{17} : std::vector<int>{0, 17, 63};
       audit_options.jobs = jobs;
-      audit_options.ckpt_stride = ckpt_stride;
       audit_options.site_outcomes = true;
       const auto audit = fault::audit_program(build.program, audit_options);
 

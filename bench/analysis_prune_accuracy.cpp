@@ -39,7 +39,6 @@
 #include "check/prune.h"
 #include "fault/audit.h"
 #include "fault/executor.h"
-#include "fault/step_budget.h"
 #include "pipeline/pipeline.h"
 #include "telemetry/export.h"
 #include "vm/engine.h"
@@ -86,20 +85,11 @@ CellValidation validate_cell(const masm::AsmProgram& program,
                              const check::prune::PruneReport& prune,
                              const fault::AuditReport& pruned) {
   CellValidation v;
-  const vm::PredecodedProgram decoded(program);
-  vm::CheckpointSet ckpts;
-  vm::Engine golden_engine(decoded, options.vm);
-  std::vector<std::int32_t> site_pcs;
-  golden_engine.set_site_pc_sink(&site_pcs);
-  const std::uint64_t stride =
-      options.ckpt_stride > 0 ? static_cast<std::uint64_t>(options.ckpt_stride)
-                              : 64;
-  const vm::VmResult golden =
-      golden_engine.run_capturing(options.vm, stride, ckpts);
-  golden_engine.set_site_pc_sink(nullptr);
+  const fault::Golden golden(program, options.vm,
+                             fault::GoldenRecord::kSiteMap);
 
   // Map each dynamic site to its static record exactly as the audit does.
-  const auto& code = decoded.code();
+  const auto& code = golden.decoded.code();
   std::vector<std::int32_t> pc_site(code.size(), -1);
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
     if (code[pc].inst == nullptr) continue;
@@ -113,9 +103,9 @@ CellValidation validate_cell(const masm::AsmProgram& program,
     int pilot = -1;  // >= 0: index into pruned.prune.pilots
   };
   std::vector<Probe> probes;
-  for (std::uint64_t id = 0; id < golden.fi_sites; ++id) {
+  for (std::uint64_t id = 0; id < golden.result.fi_sites; ++id) {
     const std::int32_t s = pc_site[static_cast<std::size_t>(
-        site_pcs[static_cast<std::size_t>(id)])];
+        golden.site_pcs[static_cast<std::size_t>(id)])];
     if (s < 0) continue;
     const check::prune::PruneSite& site =
         prune.sites[static_cast<std::size_t>(s)];
@@ -130,22 +120,20 @@ CellValidation validate_cell(const masm::AsmProgram& program,
   }
   v.pilots_checked = pruned.prune.pilots.size();
 
-  vm::VmOptions faulty = options.vm;
-  faulty.max_steps = fault::faulty_step_budget(golden.steps);
   std::vector<vm::FaultSpec> plan(probes.size());
   for (std::size_t i = 0; i < probes.size(); ++i) {
     plan[i].site = probes[i].site;
     plan[i].bit = probes[i].bit;
   }
   std::vector<std::uint8_t> bad(probes.size(), 0);
-  fault::TrialExecutor executor(decoded, ckpts, /*fast_forward=*/true, faulty,
+  fault::TrialExecutor executor(golden, golden.faulty(options.vm),
                                 options.jobs);
   executor.run(plan, [&](std::size_t i, const vm::VmResult& run) {
     if (probes[i].pilot < 0) {
-      bad[i] = identical_to_golden(run, golden) ? 0 : 1;
+      bad[i] = identical_to_golden(run, golden.result) ? 0 : 1;
     } else {
       const auto pilot = static_cast<std::size_t>(probes[i].pilot);
-      bad[i] = fault::probe_outcome(run, golden.output) ==
+      bad[i] = fault::probe_outcome(run, golden.result.output) ==
                        pruned.prune.pilots[pilot].outcome
                    ? 0
                    : 1;
@@ -176,7 +164,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int scale = benchutil::env_scale();
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("analysis_prune_accuracy");
   report.metrics()["scale"] = scale;
 
@@ -202,7 +189,6 @@ int main() {
       options.probe_bits =
           scale <= 1 ? std::vector<int>{17} : std::vector<int>{0, 17, 63};
       options.jobs = jobs;
-      options.ckpt_stride = ckpt_stride;
 
       const auto exhaustive = fault::audit_program(build.program, options);
 

@@ -25,7 +25,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int trials = benchutil::env_trials();
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("analysis_rootcause");
   report.metrics()["trials"] = trials;
 
@@ -69,7 +68,6 @@ int main() {
     fault::CampaignOptions options;
     options.trials = trials;
     options.jobs = jobs;
-    options.ckpt_stride = ckpt_stride;
     const auto result = fault::run_campaign(build.program, options);
     for (const auto& [key, count] : result.sdc_breakdown) {
       totals[key] += count;

@@ -131,7 +131,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int scale = benchutil::env_scale();
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("analysis_static_coverage");
   report.metrics()["scale"] = scale;
 
@@ -159,7 +158,6 @@ int main() {
       audit_options.probe_bits =
           scale <= 1 ? std::vector<int>{17} : std::vector<int>{0, 17, 63};
       audit_options.jobs = jobs;
-      audit_options.ckpt_stride = ckpt_stride;
       const auto audit = fault::audit_program(build.program, audit_options);
 
       // Containment: every dynamic SDC escape must land on a site the

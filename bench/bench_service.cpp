@@ -2,9 +2,9 @@
 // cell answered by the content-addressed store). The cold pass runs
 // kColdReps times, each on a fresh daemon, and its row is the median: one
 // pass of 12 small cells swings more than bench_diff's tolerance. The warm
-// pass resubmits the same cell set to the first daemon with different
-// *engine* knobs — jobs and stride are not key material, so the store must
-// still answer — and the artifact asserts the service contract in-place:
+// pass resubmits the same cell set to the first daemon with another jobs
+// value — jobs is not key material, so the store must still answer — and
+// the artifact asserts the service contract in-place:
 // every cold repetition returns the first one's bytes, warm bytes are
 // byte-identical to cold, and zero engine trials execute while warm.
 //
@@ -117,13 +117,10 @@ int main() {
   std::sort(cold_seconds.begin(), cold_seconds.end());
   const double median_cold_seconds = cold_seconds[kColdReps / 2];
 
-  // Warm resubmission under different engine knobs: the key excludes
-  // them, so every cell must come back from the store.
+  // Warm resubmission under another jobs value: the key excludes it, so
+  // every cell must come back from the store.
   std::vector<fault::CampaignCell> retuned = cells;
-  for (fault::CampaignCell& cell : retuned) {
-    cell.jobs = 2;
-    cell.ckpt_stride = 16;
-  }
+  for (fault::CampaignCell& cell : retuned) cell.jobs = 2;
   const PassResult warm = run_pass(daemon, retuned);
 
   bool byte_identical = true;

@@ -31,12 +31,6 @@ inline int env_scale(int fallback = 2) { return ferrum::env_scale(fallback); }
 /// value — the knob only changes wall-clock time.
 inline int env_jobs() { return ferrum::env_jobs(); }
 
-/// FERRUM_CKPT_STRIDE (see support/env.h). 0 = cold trials; any value
-/// yields bit-identical results.
-inline int env_ckpt_stride(int fallback = 64) {
-  return ferrum::env_ckpt_stride(fallback);
-}
-
 inline void print_rule(int width = 100) {
   for (int i = 0; i < width; ++i) std::fputc('-', stdout);
   std::fputc('\n', stdout);

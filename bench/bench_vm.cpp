@@ -172,26 +172,25 @@ int main(int argc, char** argv) {
     }
 
     // Campaign throughput per technique, two engine configurations:
-    //   cold     stride=0: every chunk is one golden walk from the cold
-    //            start, without golden rejoin
+    //   cold     a stride-0 golden run: every chunk is one golden walk
+    //            from the cold start, without golden rejoin
     //   default  checkpointed with golden rejoin — what run_campaign
     //            does out of the box
     // Outcome counts are deterministic and identical on both (asserted
     // into `metrics`); trials/sec and speedups are wall-clock.
     const int trials = benchutil::env_trials(256);
     const int jobs = benchutil::env_jobs();
-    const int stride_knob = benchutil::env_ckpt_stride();
-    const int stride = stride_knob == 0 ? 64 : stride_knob;
     for (Technique technique : techniques) {
       auto build = pipeline::build(w.source, technique);
       fault::CampaignOptions campaign;
       campaign.trials = trials;
       campaign.jobs = jobs;
       campaign.vm.golden_rejoin = false;
-      campaign.ckpt_stride = 0;
-      const auto cold = fault::run_campaign(build.program, campaign);
+      const fault::Golden stride0(build.program, campaign.vm,
+                                  fault::GoldenRecord::kNothing,
+                                  /*ckpt_stride=*/0);
+      const auto cold = fault::run_campaign(stride0, campaign);
       campaign.vm.golden_rejoin = true;
-      campaign.ckpt_stride = stride;
       const auto fast = fault::run_campaign(build.program, campaign);
 
       const char* name = pipeline::technique_name(technique);
@@ -228,7 +227,6 @@ int main(int argc, char** argv) {
           check::prune::prune_program(build.program);
       fault::AuditOptions audit;
       audit.jobs = jobs;
-      audit.ckpt_stride = stride;
       audit.prune = &prune;
       std::vector<double> rates;
       std::vector<double> call_seconds;

@@ -20,7 +20,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int trials = benchutil::env_trials(600);
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("detection_latency");
   report.metrics()["trials"] = trials;
   std::printf("Extension — detection latency in dynamic instructions "
@@ -44,7 +43,6 @@ int main() {
       fault::CampaignOptions options;
       options.trials = trials;
       options.jobs = jobs;
-      options.ckpt_stride = ckpt_stride;
       const auto result = fault::run_campaign(build.program, options);
       mean_sums[t] += result.mean_detection_latency();
       std::printf(" %9.1f %9llu  ", result.mean_detection_latency(),

@@ -22,7 +22,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int trials = benchutil::env_trials();
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("fig10_sdc_coverage");
   report.metrics()["trials"] = trials;
   std::printf("Fig 10 — SDC coverage after protection "
@@ -41,7 +40,6 @@ int main() {
     fault::CampaignOptions options;
     options.trials = trials;
     options.jobs = jobs;
-    options.ckpt_stride = ckpt_stride;
 
     auto raw_build = pipeline::build(w.source, Technique::kNone);
     const auto raw = fault::run_campaign(raw_build.program, options);

@@ -50,7 +50,6 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   const int trials = benchutil::env_trials(400);
   const int jobs = benchutil::env_jobs();
-  const int ckpt_stride = benchutil::env_ckpt_stride();
   benchutil::BenchReport report("pareto_selective");
   report.metrics()["trials"] = trials;
   std::printf("Extension — selective FERRUM: analysis-guided vs uniform vs "
@@ -68,7 +67,6 @@ int main() {
     fault::CampaignOptions campaign;
     campaign.trials = trials;
     campaign.jobs = jobs;
-    campaign.ckpt_stride = ckpt_stride;
     vm::VmOptions timed;
     timed.timing = true;
 

@@ -28,7 +28,7 @@
 #include "check/prune.h"
 #include "fault/audit.h"
 #include "fault/campaign.h"
-#include "fault/step_budget.h"
+#include "fault/executor.h"
 #include "pipeline/pipeline.h"
 #include "support/parallel.h"
 #include "telemetry/export.h"
@@ -101,25 +101,17 @@ const char* kKernels[][2] = {
 void check_dead_soundness(const std::string& name,
                           const masm::AsmProgram& program,
                           const check::prune::PruneReport& prune) {
-  const vm::PredecodedProgram decoded(program);
-  vm::VmOptions vm_options;
-  vm::CheckpointSet ckpts;
-  vm::Engine engine(decoded, vm_options);
-  std::vector<std::int32_t> site_pcs;
-  engine.set_site_pc_sink(&site_pcs);
-  const vm::VmResult golden = engine.run_capturing(vm_options, 64, ckpts);
-  engine.set_site_pc_sink(nullptr);
-  if (!golden.ok()) {
-    fail(name + ": golden run failed");
-    return;
-  }
-  const auto& code = decoded.code();
-  vm::VmOptions faulty = vm_options;
-  faulty.max_steps = fault::faulty_step_budget(golden.steps);
+  const vm::VmOptions vm_options;
+  const fault::Golden golden(program, vm_options,
+                             fault::GoldenRecord::kSiteMap);
+  const vm::VmResult& want = golden.result;
+  const auto& code = golden.decoded.code();
+  const vm::VmOptions faulty = golden.faulty(vm_options);
+  vm::Engine engine(golden.decoded, faulty);
   std::uint64_t checked = 0;
-  for (std::uint64_t id = 0; id < golden.fi_sites; ++id) {
-    const vm::DecodedInst& d =
-        code[static_cast<std::size_t>(site_pcs[static_cast<std::size_t>(id)])];
+  for (std::uint64_t id = 0; id < want.fi_sites; ++id) {
+    const vm::DecodedInst& d = code[static_cast<std::size_t>(
+        golden.site_pcs[static_cast<std::size_t>(id)])];
     const int s = prune.site_index(d.fidx, d.bidx, d.iidx);
     if (s < 0) continue;
     const check::prune::PruneSite& site =
@@ -131,11 +123,11 @@ void check_dead_soundness(const std::string& name,
       vm::FaultSpec spec;
       spec.site = id;
       spec.bit = bit;
-      const vm::VmResult run = engine.run_from(ckpts, faulty, &spec, 1);
+      const vm::VmResult run = engine.run_from(golden.ckpts, faulty, &spec, 1);
       ++checked;
-      if (run.status != golden.status || run.output != golden.output ||
-          run.return_value != golden.return_value ||
-          run.steps != golden.steps || run.fi_sites != golden.fi_sites) {
+      if (run.status != want.status || run.output != want.output ||
+          run.return_value != want.return_value ||
+          run.steps != want.steps || run.fi_sites != want.fi_sites) {
         fail(name + ": dead bit diverged (site=" + std::to_string(id) +
              " bit=" + std::to_string(bit) + ")");
         return;

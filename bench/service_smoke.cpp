@@ -6,7 +6,7 @@
 //     counts that sum to the trials;
 //   * per-key result bytes are identical across worker counts {1, 2, 4}
 //     and across submission orders — scheduling shapes wall-clock only;
-//   * a warm resubmission (with different engine knobs) is answered from
+//   * a warm resubmission (with another jobs value) is answered from
 //     the content-addressed store with zero new engine trials;
 //   * after a daemon shutdown, a fresh daemon on the same cache
 //     directory answers the identical submission from the disk tier —
@@ -228,10 +228,7 @@ int main() {
           const std::uint64_t executed_before =
               daemon.metrics().counter("service/trials_executed").value();
           std::vector<fault::CampaignCell> retuned = cells;
-          for (fault::CampaignCell& cell : retuned) {
-            cell.jobs = 4;
-            cell.ckpt_stride = 8;
-          }
+          for (fault::CampaignCell& cell : retuned) cell.jobs = 4;
           const auto warm_job = client.submit(retuned, error);
           if (!warm_job.has_value()) {
             fail("warm submit: " + error);

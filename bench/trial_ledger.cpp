@@ -22,10 +22,11 @@
 // repetition. The process pins itself to the CPU it starts on, so a
 // migration between cores does not land inside a repetition.
 //
-// Knobs: FERRUM_TRIALS (default 1000), FERRUM_SCALE (default 1),
-// FERRUM_CKPT_STRIDE (default 64; 0 also means 64). Outcome counts go to
-// `metrics`; the rejoined/halted split and the step ledger depend on the
-// stride, and times on the machine, so they go to `wallclock`.
+// Knobs: FERRUM_TRIALS (default 1000), FERRUM_SCALE (default 1). The
+// golden run is captured at fault::Golden's default stride, 64. Outcome
+// counts go to `metrics`; the rejoined/halted split and the step ledger
+// depend on the stride, and times on the machine, so they go to
+// `wallclock`.
 #include <sched.h>
 
 #include <algorithm>
@@ -231,8 +232,7 @@ int pin_to_current_cpu() {
 int main() {
   const int trials = benchutil::env_trials(1000);
   const int scale = benchutil::env_scale(1);
-  const int stride_knob = benchutil::env_ckpt_stride();
-  const int stride = stride_knob == 0 ? 64 : stride_knob;
+  const int stride = 64;
   const std::uint64_t seed = fault::CampaignOptions{}.seed;
   benchutil::BenchReport report("trial_ledger");
   report.metrics()["trials"] = trials;

@@ -87,7 +87,7 @@ int usage(const char* argv0) {
                "usage: %s <run|asm|ir|audit|campaign|lint|sites|plan> "
                "<file.c|file.s>\n"
                "       [--tech=none|ir-eddi|hybrid|ferrum]\n"
-               "       [--trials=N] [--jobs=N] [--ckpt-stride=N] [--timing]\n"
+               "       [--trials=N] [--jobs=N] [--timing]\n"
                "       [--max-half-width=X]\n"
                "       [--lint[=json]] [--summary] [--prune] "
                "[--stats=<file.json>]\n"
@@ -133,15 +133,11 @@ int usage(const char* argv0) {
                "after an edit re-injects only the changed sections)\n"
                "(--jobs defaults to FERRUM_JOBS, then hardware "
                "concurrency; results are identical for any value;\n"
-               " --ckpt-stride defaults to FERRUM_CKPT_STRIDE, then 64 — "
-               "golden-run checkpoint spacing for campaign/audit "
-               "fast-forwarding; 0 disables checkpointing; results are "
-               "bit-identical for every stride;\n"
                " --max-half-width (default FERRUM_CI_TARGET, then 0 = "
                "off) stops a campaign at the first power-of-two trial "
                "boundary where every outcome-rate 95%% Wilson half-width "
                "is <= the target — deterministic (the stopped count is a "
-               "pure function of the cell, never of jobs or stride) "
+               "pure function of the cell, never of jobs) "
                "and cache-key material; incompatible with --prune;\n"
                " --stats writes run/campaign/audit telemetry as JSON — "
                "the 'metrics' section is deterministic, 'wallclock' is "
@@ -260,7 +256,6 @@ int main(int argc, char** argv) {
           : Technique::kNone;
   int trials = env_trials();
   int jobs = env_jobs();
-  int ckpt_stride = env_ckpt_stride();
   double max_half_width = env_ci_target();
   bool timing = false;
   bool lint = command == "lint";
@@ -319,12 +314,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--jobs=", 0) == 0) {
       if (!parse_int(arg.c_str() + 7, jobs) || jobs < 1) {
         std::fprintf(stderr, "bad --jobs value '%s'\n", arg.c_str() + 7);
-        return 2;
-      }
-    } else if (arg.rfind("--ckpt-stride=", 0) == 0) {
-      if (!parse_int(arg.c_str() + 14, ckpt_stride) || ckpt_stride < 0) {
-        std::fprintf(stderr, "bad --ckpt-stride value '%s'\n",
-                     arg.c_str() + 14);
         return 2;
       }
     } else if (arg.rfind("--max-half-width=", 0) == 0) {
@@ -395,10 +384,9 @@ int main(int argc, char** argv) {
     cell.store_data = store_data;
     cell.prune = prune;
     cell.max_half_width = max_half_width;
-    // Engine knobs ride along but are excluded from the cache key — the
-    // daemon returns the same stored bytes for every value of these.
+    // jobs rides along but is excluded from the cache key — the daemon
+    // returns the same stored bytes for every value of it.
     cell.jobs = jobs;
-    cell.ckpt_stride = ckpt_stride;
     service::Client client = service::Client::connect(socket_path, error);
     if (!client.valid()) {
       std::fprintf(stderr, "cannot reach daemon at %s: %s\n",
@@ -722,7 +710,6 @@ int main(int argc, char** argv) {
   if (command == "audit") {
     fault::AuditOptions audit_options;
     audit_options.jobs = jobs;
-    audit_options.ckpt_stride = ckpt_stride;
     check::prune::PruneReport prune_report;
     if (prune) {
       prune_report = check::prune::prune_program(
@@ -777,7 +764,6 @@ int main(int argc, char** argv) {
     fault::ComposeOptions options;
     options.trials = static_cast<std::uint64_t>(trials);
     options.jobs = jobs;
-    options.ckpt_stride = ckpt_stride;
     options.vm.fault_store_data = store_data;
     options.max_half_width = max_half_width;
     if (seed >= 0) options.seed = static_cast<std::uint64_t>(seed);
@@ -853,7 +839,6 @@ int main(int argc, char** argv) {
     fault::CampaignOptions options;
     options.trials = trials;
     options.jobs = jobs;
-    options.ckpt_stride = ckpt_stride;
     options.max_half_width = max_half_width;
     if (prune && max_half_width > 0.0) {
       std::fprintf(stderr,

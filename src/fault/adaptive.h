@@ -12,9 +12,9 @@
 // is <= the target. Because the trial order is fixed by the seed before
 // any worker runs and boundaries depend only on (planned, rule), the
 // stopped trial count is a pure function of (program, fault model, seed,
-// target half-width): jobs and ckpt_stride cannot move it, so
-// early-stopped results stay byte-identical across engine knobs —
-// the same invariant the rest of the stack already holds.
+// target half-width): jobs and the checkpoint stride cannot move it, so
+// early-stopped results stay byte-identical across both — the same
+// invariant the rest of the stack already holds.
 #pragma once
 
 #include <array>

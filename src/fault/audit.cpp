@@ -12,7 +12,6 @@
 #include "check/prune.h"
 #include "fault/executor.h"
 #include "fault/prune_map.h"
-#include "fault/step_budget.h"
 #include "vm/engine.h"
 
 namespace ferrum::fault {
@@ -61,7 +60,7 @@ class SiteOutcomeTally {
 /// dead probes are benign by the liveness proof. The report keeps the
 /// exhaustive frame (injections/detected/... count every probe) so it is
 /// directly comparable with audit_program without prune.
-AuditReport audit_pruned(const masm::AsmProgram& program,
+AuditReport audit_pruned(const Golden& golden, const vm::VmOptions& faulty,
                          const AuditOptions& options) {
   const check::prune::PruneReport& prune = *options.prune;
   if (prune.store_data_sites != options.vm.fault_store_data) {
@@ -73,28 +72,11 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
         "site_stride is a subsampling knob for exhaustive sweeps; the "
         "pruned audit extrapolates from pilots and cannot stride");
   }
-  const vm::PredecodedProgram decoded(program);
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-  vm::CheckpointSet ckpts;
-  vm::Engine golden_engine(decoded, options.vm);
-  std::vector<std::int32_t> site_pcs;
-  golden_engine.set_site_pc_sink(&site_pcs);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm,
-                static_cast<std::uint64_t>(options.ckpt_stride), ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  golden_engine.set_site_pc_sink(nullptr);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("audit golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
+  const masm::AsmProgram& program = golden.decoded.source();
+  const vm::VmResult& golden_run = golden.result;
 
   AuditReport report;
-  report.sites = golden.fi_sites;
+  report.sites = golden_run.fi_sites;
   report.prune.enabled = true;
   report.prune.static_sites = prune.sites.size();
   report.prune.classes = prune.classes.size();
@@ -103,10 +85,10 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
   // Dynamic site -> (static record, temporal stratum). The golden site
   // map makes this exact: site_pcs[id] is the pc that registered dynamic
   // site id.
-  const std::size_t nsites = static_cast<std::size_t>(golden.fi_sites);
+  const std::size_t nsites = static_cast<std::size_t>(golden_run.fi_sites);
   const std::size_t nbits = options.probe_bits.size();
-  const detail::DynSiteMap dyn =
-      detail::map_dynamic_sites(decoded, site_pcs, prune, golden.fi_sites);
+  const detail::DynSiteMap dyn = detail::map_dynamic_sites(
+      golden.decoded, golden.site_pcs, prune, golden_run.fi_sites);
   const std::vector<std::int32_t>& dyn_static = dyn.static_site;
   const std::vector<std::uint32_t>& dyn_stratum = dyn.stratum;
 
@@ -159,13 +141,11 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
 
   // Execute the pilots across the pool; per-pilot slots merge in pilot
   // order, so the report is identical for every jobs value.
-  vm::VmOptions faulty = options.vm;
-  faulty.max_steps = faulty_step_budget(golden.steps);
   std::vector<ProbeOutcome> outcomes(pilots.size(), ProbeOutcome::kBenign);
   std::vector<vm::FaultLanding> landings(pilots.size());
-  TrialExecutor executor(decoded, ckpts, fast_forward, faulty, options.jobs);
+  TrialExecutor executor(golden, faulty, options.jobs);
   executor.run(pilots, [&](std::size_t p, const vm::VmResult& run) {
-    outcomes[p] = probe_outcome(run, golden.output);
+    outcomes[p] = probe_outcome(run, golden_run.output);
     // Landing coordinates are kept for every outcome: the site_outcomes
     // tally needs them for unmatched pilots, not just the SDC escapes.
     if (run.fault_landing.has_value()) landings[p] = *run.fault_landing;
@@ -272,30 +252,25 @@ AuditReport audit_pruned(const masm::AsmProgram& program,
 
 AuditReport audit_program(const masm::AsmProgram& program,
                           const AuditOptions& options) {
-  if (options.prune != nullptr) return audit_pruned(program, options);
-  const vm::PredecodedProgram decoded(program);
+  return audit_program(Golden(program, options.vm,
+                              options.prune != nullptr
+                                  ? GoldenRecord::kSiteMap
+                                  : GoldenRecord::kNothing),
+                       options);
+}
 
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-  vm::CheckpointSet ckpts;
-
-  vm::Engine golden_engine(decoded, options.vm);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm,
-                static_cast<std::uint64_t>(options.ckpt_stride), ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("audit golden run failed: ") +
-                             vm::exit_status_name(golden.status));
+AuditReport audit_program(const Golden& golden, const AuditOptions& options) {
+  const vm::VmOptions faulty = golden.faulty(options.vm);
+  if (options.prune != nullptr) {
+    if (golden.record == GoldenRecord::kNothing) {
+      throw std::invalid_argument(
+          "audit prune mode needs a golden run with the site map");
+    }
+    return audit_pruned(golden, faulty, options);
   }
+  const vm::VmResult& golden_run = golden.result;
   AuditReport report;
-  report.sites = golden.fi_sites;
-
-  vm::VmOptions faulty = options.vm;
-  faulty.max_steps = faulty_step_budget(golden.steps);
+  report.sites = golden_run.fi_sites;
 
   // Strided site selection: slot i probes site i * stride. Stride 1 is
   // the exhaustive audit; larger strides keep the same per-probe
@@ -304,7 +279,8 @@ AuditReport audit_program(const masm::AsmProgram& program,
       options.site_stride > 1 ? static_cast<std::uint64_t>(options.site_stride)
                               : 1;
   const std::size_t slots = static_cast<std::size_t>(
-      golden.fi_sites == 0 ? 0 : (golden.fi_sites + stride - 1) / stride);
+      golden_run.fi_sites == 0 ? 0
+                               : (golden_run.fi_sites + stride - 1) / stride);
 
   // Every (site, bit) probe is independent: run them across the pool,
   // each writing only its own outcome slot, then merge in site order so
@@ -320,9 +296,9 @@ AuditReport audit_program(const masm::AsmProgram& program,
   }
   std::vector<ProbeOutcome> outcomes(probes.size(), ProbeOutcome::kBenign);
   std::vector<std::optional<vm::FaultLanding>> landings(slots);
-  TrialExecutor executor(decoded, ckpts, fast_forward, faulty, options.jobs);
+  TrialExecutor executor(golden, faulty, options.jobs);
   executor.run(probes, [&](std::size_t i, const vm::VmResult& run) {
-    outcomes[i] = probe_outcome(run, golden.output);
+    outcomes[i] = probe_outcome(run, golden_run.output);
     if (i % nbits == 0) landings[i / nbits] = run.fault_landing;
   });
   report.sites_per_worker = executor.trials_per_worker();

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/executor.h"
 #include "masm/masm.h"
 #include "vm/engine.h"
 #include "vm/vm.h"
@@ -29,13 +30,6 @@ struct AuditOptions {
   /// reduces in site order, so the AuditReport — including the order of
   /// `escapes` — is identical for every jobs value.
   int jobs = 1;
-  /// Golden-run checkpoint stride in dynamic FI sites (FERRUM_CKPT_STRIDE):
-  /// the golden walk resumes each probe from the nearest snapshot
-  /// at-or-before its site when the walk is not already there. The audit
-  /// is quadratic (sites x steps) when cold, so this is the knob that
-  /// makes larger programs auditable. 0 disables fast-forwarding; the
-  /// report is bit-identical either way.
-  int ckpt_stride = 64;
   /// Probe only every Nth dynamic site (ids congruent to 0 mod N) — a
   /// deterministic subsample that keeps the exhaustive frame's exactness
   /// on the sites it does probe, for cross-validation harnesses that
@@ -174,5 +168,10 @@ struct AuditReport {
 /// Runs the audit. Throws std::runtime_error if the golden run fails.
 AuditReport audit_program(const masm::AsmProgram& program,
                           const AuditOptions& options = {});
+
+/// The same audit over a golden run prepared by the caller. Throws
+/// std::invalid_argument when options.prune is set and `golden` holds no
+/// site map.
+AuditReport audit_program(const Golden& golden, const AuditOptions& options);
 
 }  // namespace ferrum::fault

@@ -12,7 +12,6 @@
 #include "fault/audit.h"
 #include "fault/executor.h"
 #include "fault/prune_map.h"
-#include "fault/step_budget.h"
 #include "support/rng.h"
 #include "vm/engine.h"
 
@@ -51,28 +50,6 @@ std::pair<double, double> wilson_interval(int successes, int trials) {
 
 std::pair<double, double> CampaignResult::sdc_rate_ci() const {
   return wilson_interval(count(Outcome::kSdc), trials());
-}
-
-PreparedCampaign::PreparedCampaign(const masm::AsmProgram& program,
-                                   const vm::VmOptions& vm, int ckpt_stride)
-    : decoded(program), store_data(vm.fault_store_data) {
-  // Checkpoints need the full prefix to be re-creatable from a snapshot;
-  // timing/profile/trace state is not checkpointed, so those runs stay
-  // cold (the same gate run_campaign always applied).
-  fast_forward =
-      ckpt_stride > 0 && !vm.timing && !vm.profile && vm.trace_limit == 0;
-  vm::Engine golden_engine(decoded, vm);
-  golden = fast_forward
-               ? golden_engine.run_capturing(
-                     vm, static_cast<std::uint64_t>(ckpt_stride), ckpts)
-               : golden_engine.run(vm, nullptr, 0);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
-  if (golden.fi_sites == 0) {
-    throw std::runtime_error("program has no fault-injection sites");
-  }
 }
 
 namespace {
@@ -115,7 +92,8 @@ void record_trial(TrialSlot& slot, const vm::VmResult& run,
 /// every other trial is answered by one pilot run per (class, effective
 /// bit, stratum). The result keeps the unpruned frame — counts sum to
 /// options.trials — so sdc_rate() estimates the unpruned campaign.
-CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
+CampaignResult run_campaign_pruned(const Golden& golden,
+                                   const vm::VmOptions& faulty,
                                    const CampaignOptions& options) {
   const check::prune::PruneReport& prune = *options.prune;
   if (options.faults_per_run > 1) {
@@ -126,38 +104,14 @@ CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
     throw std::invalid_argument(
         "prune report store_data_sites must match vm.fault_store_data");
   }
-
-  const vm::PredecodedProgram decoded(program);
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-  vm::CheckpointSet ckpts;
-  vm::Engine golden_engine(decoded, options.vm);
-  std::vector<std::int32_t> site_pcs;
-  golden_engine.set_site_pc_sink(&site_pcs);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm,
-                static_cast<std::uint64_t>(options.ckpt_stride), ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  golden_engine.set_site_pc_sink(nullptr);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
-  if (golden.fi_sites == 0) {
-    throw std::runtime_error("program has no fault-injection sites");
-  }
+  const masm::AsmProgram& program = golden.decoded.source();
+  const vm::VmResult& golden_run = golden.result;
 
   CampaignResult result;
-  result.total_sites = golden.fi_sites;
-  result.golden_steps = golden.steps;
+  result.total_sites = golden_run.fi_sites;
+  result.golden_steps = golden_run.steps;
   result.prune.enabled = true;
   result.prune.dead_fraction_static = prune.dead_fraction();
-
-  vm::VmOptions faulty_vm = options.vm;
-  faulty_vm.max_steps = faulty_step_budget(golden.steps);
 
   // Identical serial draw to the unpruned campaign (per_run == 1), so a
   // pruned and an unpruned campaign over the same seed judge the same
@@ -167,13 +121,13 @@ CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
   std::vector<vm::FaultSpec> specs(trials);
   Rng rng(options.seed);
   for (vm::FaultSpec& fault : specs) {
-    fault.site = rng.next_below(golden.fi_sites);
+    fault.site = rng.next_below(golden_run.fi_sites);
     fault.bit = static_cast<int>(rng.next_below(64));
     fault.burst = options.burst < 1 ? 1 : options.burst;
   }
 
-  const detail::DynSiteMap dyn =
-      detail::map_dynamic_sites(decoded, site_pcs, prune, golden.fi_sites);
+  const detail::DynSiteMap dyn = detail::map_dynamic_sites(
+      golden.decoded, golden.site_pcs, prune, golden_run.fi_sites);
 
   // Serial pilot plan in trial order: deterministic and jobs-invariant.
   std::vector<std::size_t> pilots;  // trial index of each pilot run
@@ -209,10 +163,9 @@ CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
     pilot_plan[p] = specs[pilots[p]];
   }
   std::vector<TrialSlot> slots(pilots.size());
-  TrialExecutor executor(decoded, ckpts, fast_forward, faulty_vm,
-                         options.jobs);
+  TrialExecutor executor(golden, faulty, options.jobs);
   executor.run(pilot_plan, [&](std::size_t p, const vm::VmResult& run) {
-    record_trial(slots[p], run, golden.output, options.progress);
+    record_trial(slots[p], run, golden_run.output, options.progress);
   });
   result.trials_per_worker = executor.trials_per_worker();
   result.wall_seconds = executor.wall_seconds();
@@ -272,6 +225,19 @@ CampaignResult run_campaign_pruned(const masm::AsmProgram& program,
 
 CampaignResult run_campaign(const masm::AsmProgram& program,
                             const CampaignOptions& options) {
+  return run_campaign(Golden(program, options.vm,
+                             options.prune != nullptr
+                                 ? GoldenRecord::kSiteMap
+                                 : GoldenRecord::kNothing),
+                      options);
+}
+
+CampaignResult run_campaign(const Golden& golden,
+                            const CampaignOptions& options) {
+  const vm::VmOptions faulty = golden.faulty(options.vm);
+  if (golden.result.fi_sites == 0) {
+    throw std::runtime_error("program has no fault-injection sites");
+  }
   if (options.prune != nullptr) {
     if (options.max_half_width > 0.0) {
       // Pilot extrapolation answers trials out of canonical order, so a
@@ -279,40 +245,17 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
       throw std::invalid_argument(
           "adaptive early stopping cannot be combined with prune mode");
     }
-    return run_campaign_pruned(program, options);
+    if (golden.record == GoldenRecord::kNothing) {
+      throw std::invalid_argument(
+          "campaign prune mode needs a golden run with the site map");
+    }
+    return run_campaign_pruned(golden, faulty, options);
   }
-  // The decoded program / golden run / checkpoints either come prepared
-  // (the service's cross-cell sharing) or are built here; both ways they
-  // are shared read-only by every worker's trial engine, and resolve()-
-  // style hash lookups happen once per campaign instead of once per run.
-  // Declared before the engines so restores never outlive the pages they
-  // point at.
-  const PreparedCampaign* prep = options.prepared;
-  if (prep != nullptr && prep->store_data != options.vm.fault_store_data) {
-    throw std::invalid_argument(
-        "prepared campaign state disagrees on fault_store_data");
-  }
-  std::optional<PreparedCampaign> owned;
-  if (prep == nullptr) {
-    owned.emplace(program, options.vm, options.ckpt_stride);
-    prep = &*owned;
-  }
-  const vm::PredecodedProgram& decoded = prep->decoded;
-  const vm::CheckpointSet& ckpts = prep->ckpts;
-  const vm::VmResult& golden = prep->golden;
-  // A state prepared without checkpoints (stride 0) just runs cold; one
-  // prepared with them can still serve a cold-only campaign request.
-  const bool fast_forward = prep->fast_forward && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
+  const vm::VmResult& golden_run = golden.result;
 
   CampaignResult result;
-  result.total_sites = golden.fi_sites;
-  result.golden_steps = golden.steps;
-
-  // Faulty runs can loop; bound them relative to the golden length.
-  vm::VmOptions faulty_vm = options.vm;
-  faulty_vm.max_steps = faulty_step_budget(golden.steps);
+  result.total_sites = golden_run.fi_sites;
+  result.golden_steps = golden_run.steps;
 
   const std::size_t trials =
       options.trials < 0 ? 0 : static_cast<std::size_t>(options.trials);
@@ -326,7 +269,7 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
   std::vector<vm::FaultSpec> specs(trials * per_run);
   Rng rng(options.seed);
   for (vm::FaultSpec& fault : specs) {
-    fault.site = rng.next_below(golden.fi_sites);
+    fault.site = rng.next_below(golden_run.fi_sites);
     fault.bit = static_cast<int>(rng.next_below(64));
     fault.burst = options.burst < 1 ? 1 : options.burst;
   }
@@ -337,12 +280,11 @@ CampaignResult run_campaign(const masm::AsmProgram& program,
   // power-of-two block at a time; a trial's execution does not depend on
   // which block ran it, so the block structure is result-invariant.
   std::vector<TrialSlot> slots(trials);
-  TrialExecutor executor(decoded, ckpts, fast_forward, faulty_vm,
-                         options.jobs);
+  TrialExecutor executor(golden, faulty, options.jobs);
   const auto run_range = [&](std::size_t begin, std::size_t end) {
     executor.run(specs, per_run, begin, end,
                  [&](std::size_t trial, const vm::VmResult& run) {
-                   record_trial(slots[trial], run, golden.output,
+                   record_trial(slots[trial], run, golden_run.output,
                                 options.progress);
                  });
   };

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fault/adaptive.h"
+#include "fault/executor.h"
 #include "masm/masm.h"
 #include "vm/engine.h"
 #include "vm/vm.h"
@@ -45,34 +46,6 @@ struct CampaignProgress {
   }
 };
 
-/// Golden-run state shared across campaigns of one program — the
-/// service's cross-cell reuse. Holds everything run_campaign derives
-/// from the program before any trial runs: the predecode, the golden
-/// result and (when fast-forwarding) the checkpoint set. Immutable after
-/// construction, so one instance may back any number of concurrent
-/// run_campaign calls over different seeds/trials/techniques-of-the-same-
-/// assembly; each campaign still creates its own per-worker Engines.
-///
-/// The golden run depends on vm.fault_store_data (it changes the dynamic
-/// FI-site numbering), so a prepared state is only valid for campaigns
-/// with the same setting — run_campaign throws std::invalid_argument on
-/// a mismatch. ckpt_stride is result-invariant: a campaign may reuse a
-/// state captured under any stride.
-struct PreparedCampaign {
-  /// Runs the golden profiling run (capturing checkpoints every
-  /// `ckpt_stride` FI sites unless the vm options need the full prefix).
-  /// Throws std::runtime_error when the golden run fails or the program
-  /// has no fault-injection sites, exactly like run_campaign.
-  PreparedCampaign(const masm::AsmProgram& program, const vm::VmOptions& vm,
-                   int ckpt_stride = 64);
-
-  vm::PredecodedProgram decoded;
-  vm::CheckpointSet ckpts;
-  vm::VmResult golden;
-  bool fast_forward = false;  // checkpoints captured, trials may restore
-  bool store_data = false;    // vm.fault_store_data the golden ran under
-};
-
 struct CampaignOptions {
   int trials = 1000;          // samples per measurement, as in the paper
   std::uint64_t seed = 0xfe44u;
@@ -87,13 +60,6 @@ struct CampaignOptions {
   /// before any run starts and results reduce in trial order, so the
   /// CampaignResult is bit-identical for every jobs value.
   int jobs = 1;
-  /// Golden-run checkpoint stride in dynamic FI sites (FERRUM_CKPT_STRIDE):
-  /// the golden walk that runs a worker's trials resumes from the nearest
-  /// snapshot at-or-before a trial's fault site instead of re-executing
-  /// from main() whenever the walk is not already there. 0 disables
-  /// fast-forwarding (cold walks). Any value yields bit-identical
-  /// deterministic results — the stride only moves wall-clock.
-  int ckpt_stride = 64;
   /// Optional live observer: each finished trial run bumps one outcome
   /// counter (relaxed atomics, snapshot whenever). Must outlive the
   /// run_campaign call. Purely observational — attaching it never
@@ -115,16 +81,11 @@ struct CampaignOptions {
   /// order (see fault/adaptive.h) and stops at the first boundary where
   /// every half-width is <= this target. The stopped trial count is a
   /// pure function of (program, fault model, seed, target) — invariant
-  /// to jobs and ckpt_stride like the full result. Cannot be
+  /// to jobs and the checkpoint stride like the full result. Cannot be
   /// combined with prune (throws std::invalid_argument): pilot
   /// extrapolation answers trials out of canonical order, so a prefix
   /// stop rule has no meaning there.
   double max_half_width = 0.0;
-  /// Optional pre-built golden state shared across campaigns of this
-  /// program (see PreparedCampaign). Must outlive the call and match
-  /// vm.fault_store_data; ignored in prune mode, which needs its own
-  /// site-pc-instrumented golden run.
-  const PreparedCampaign* prepared = nullptr;
 };
 
 /// Where the SDC-causing faults landed, for the root-cause analysis of
@@ -215,6 +176,14 @@ std::pair<double, double> wilson_interval(int successes, int trials);
 /// clean (golden run) first; throws std::runtime_error otherwise.
 CampaignResult run_campaign(const masm::AsmProgram& program,
                             const CampaignOptions& options = {});
+
+/// The same campaign over a golden run prepared by the caller, which may
+/// share it across campaigns of its program (the service's cross-cell
+/// reuse). Throws std::invalid_argument when `golden` ran under another
+/// vm.fault_store_data, or when options.prune is set and `golden` holds
+/// no site map.
+CampaignResult run_campaign(const Golden& golden,
+                            const CampaignOptions& options);
 
 /// The paper's SDC-coverage metric: (SDC_raw - SDC_prot) / SDC_raw.
 /// Returns 1.0 when the unprotected rate is zero (nothing to cover).

@@ -14,7 +14,6 @@ CampaignOptions to_campaign_options(const CampaignCell& cell) {
   options.vm.fault_store_data = cell.store_data;
   options.max_half_width = cell.max_half_width;
   options.jobs = cell.jobs;
-  options.ckpt_stride = cell.ckpt_stride;
   return options;
 }
 
@@ -87,8 +86,7 @@ bool validate_cell(const CampaignCell& cell, std::string& error) {
     error = "max_half_width cannot be combined with prune";
     return false;
   }
-  if (cell.jobs < 1 || cell.ckpt_stride < 0 ||
-      cell.faults_per_run < 1 || cell.burst < 1) {
+  if (cell.jobs < 1 || cell.faults_per_run < 1 || cell.burst < 1) {
     error = "engine knobs out of range";
     return false;
   }

@@ -1,6 +1,6 @@
 // Campaign *cells* — the unit of work the campaign service schedules and
 // caches. A cell names a program (inline MiniC source or a Table II
-// workload), a protection technique, a fault model and the engine knobs,
+// workload), a protection technique, a fault model and the worker count,
 // i.e. everything run_campaign needs; this header also defines the
 // canonical serialization the content-addressed result store hashes into
 // a cache key.
@@ -11,10 +11,11 @@
 //     faults_per_run, burst, fault_store_data, prune, and the adaptive
 //     stop rule (max_half_width): an early-stopped result covers a
 //     different trial prefix, so it must never alias the full-budget one;
-//   * every knob that is proven result-invariant is EXCLUDED — jobs and
-//     ckpt_stride only move wall-clock (asserted down to byte-identical
-//     campaign JSON by tests/test_engine.cpp), so a warm query with
-//     different engine knobs must still hit.
+//   * jobs, the one result-invariant knob a cell carries, is EXCLUDED: it
+//     only moves wall-clock (asserted down to byte-identical campaign
+//     JSON by tests/test_engine.cpp), so a warm query with another jobs
+//     value must still hit. The checkpoint stride is not a cell field:
+//     the daemon prepares every golden run at fault::Golden's default.
 // The material is versioned ("ferrum-cell-v2"): widening the fault model
 // bumps the version instead of silently aliasing old entries (v1 -> v2
 // added the max_half_width line).
@@ -52,9 +53,8 @@ struct CampaignCell {
   /// canonical prefix the result covers. Incompatible with prune.
   double max_half_width = 0.0;
 
-  // Engine knobs — result-invariant, never key material.
+  // Worker threads — result-invariant, never key material.
   int jobs = 1;
-  int ckpt_stride = 64;
 };
 
 /// The campaign options a cell resolves to (vm knobs filled in; the

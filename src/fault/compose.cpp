@@ -16,8 +16,6 @@
 #include "fault/audit.h"
 #include "fault/executor.h"
 #include "fault/prune_map.h"
-#include "fault/step_budget.h"
-#include "masm/cfg.h"
 #include "support/hash.h"
 #include "support/rng.h"
 #include "support/str.h"
@@ -256,63 +254,26 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
     throw std::invalid_argument("max_half_width must be in [0, 0.5)");
   }
   const StopRule rule{options.max_half_width};
-  const vm::PredecodedProgram decoded(program);
-  const bool fast_forward = options.ckpt_stride > 0 && !options.vm.timing &&
-                            !options.vm.profile &&
-                            options.vm.trace_limit == 0;
-
-  // Liveness masks per flat pc (masm::LiveSet: what is live *before* the
-  // instruction) — the projection that keeps state digests blind to dead
-  // register/stack noise. Only the caching path pays for them.
-  std::vector<std::uint64_t> live_masks;
-  if (caching) {
-    live_masks.assign(decoded.code().size(), ~std::uint64_t{0});
-    for (std::size_t f = 0; f < program.functions.size(); ++f) {
-      const masm::AsmFunction& fn = program.functions[f];
-      const masm::Liveness liveness(fn);
-      for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-        const std::int32_t base =
-            decoded.block_pc(static_cast<int>(f), static_cast<int>(b));
-        for (std::size_t i = 0; i < fn.blocks[b].insts.size(); ++i) {
-          live_masks[static_cast<std::size_t>(base) + i] = liveness.live_after(
-              static_cast<int>(b), static_cast<int>(i) - 1);
-        }
-      }
-    }
-  }
-
-  // Golden run: one cold pass that captures checkpoints, the site pc map
-  // and (when caching) the per-site liveness-masked state digests.
-  vm::CheckpointSet ckpts;
-  vm::Engine golden_engine(decoded, options.vm);
-  std::vector<std::int32_t> site_pcs;
-  std::vector<std::uint64_t> site_digests;
-  golden_engine.set_site_pc_sink(&site_pcs);
-  if (caching) golden_engine.set_state_digest_sink(&site_digests, &live_masks);
-  const vm::VmResult golden =
-      fast_forward
-          ? golden_engine.run_capturing(
-                options.vm, static_cast<std::uint64_t>(options.ckpt_stride),
-                ckpts)
-          : golden_engine.run(options.vm, nullptr, 0);
-  golden_engine.set_site_pc_sink(nullptr);
-  golden_engine.set_state_digest_sink(nullptr, nullptr);
-  if (!golden.ok()) {
-    throw std::runtime_error(std::string("compose golden run failed: ") +
-                             vm::exit_status_name(golden.status));
-  }
+  // Golden run: checkpoints, the site pc map and (when caching) the
+  // per-site liveness-masked state digests.
+  const Golden golden(program, options.vm,
+                      caching ? GoldenRecord::kSiteDigests
+                              : GoldenRecord::kSiteMap);
+  const vm::PredecodedProgram& decoded = golden.decoded;
+  const vm::VmResult& golden_run = golden.result;
+  const std::vector<std::uint64_t>& site_digests = golden.site_digests;
 
   // Dynamic site -> section, via the decoded instruction each site's pc
   // names. Sections are straight-line, so one traversal's sites are
   // consecutive in the stream; a new occurrence starts when the section
   // changes or the pc does not advance (loop re-entry).
-  const std::size_t nsites = static_cast<std::size_t>(golden.fi_sites);
+  const std::size_t nsites = static_cast<std::size_t>(golden_run.fi_sites);
   std::vector<std::int32_t> site_section(nsites, -1);
   std::vector<SectionRuntime> runtime(map.sections.size());
   std::int32_t prev_section = -1;
   std::int32_t prev_pc = -1;
   for (std::size_t id = 0; id < nsites; ++id) {
-    const std::int32_t pc = site_pcs[id];
+    const std::int32_t pc = golden.site_pcs[id];
     const vm::DecodedInst& d = decoded.code()[static_cast<std::size_t>(pc)];
     const int section = map.section_of(d.fidx, d.bidx, d.iidx);
     if (section < 0 ||
@@ -330,7 +291,7 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
   }
   std::uint64_t mapped = 0;
   for (const SectionRuntime& rt : runtime) mapped += rt.sites.size();
-  if (mapped != golden.fi_sites) {
+  if (mapped != golden_run.fi_sites) {
     throw std::runtime_error(
         "compose: sections do not partition the dynamic site stream");
   }
@@ -348,13 +309,14 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
     return mix64(site_digests[site] ^ read_mask_fold);
   };
 
-  const std::uint64_t max_steps =
-      audit_mode ? faulty_step_budget(golden.steps)
-                 : quantize_budget(faulty_step_budget(golden.steps));
+  vm::VmOptions faulty = golden.faulty(options.vm);
+  if (!audit_mode) faulty.max_steps = quantize_budget(faulty.max_steps);
+  faulty.track_touched_functions = caching;
+  const std::uint64_t max_steps = faulty.max_steps;
 
   ComposeReport report;
-  report.sites = golden.fi_sites;
-  report.golden_steps = golden.steps;
+  report.sites = golden_run.fi_sites;
+  report.golden_steps = golden_run.steps;
   report.sections.resize(map.sections.size());
 
   // Per-section plan: trials each section owes. Audit mode probes every
@@ -373,9 +335,9 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
       }
       plan_trials[s] = selected * options.probe_bits.size();
     }
-  } else if (golden.fi_sites > 0 && options.trials > 0) {
+  } else if (golden_run.fi_sites > 0 && options.trials > 0) {
     const double rate = static_cast<double>(options.trials) /
-                        static_cast<double>(golden.fi_sites);
+                        static_cast<double>(golden_run.fi_sites);
     const double rate_q = std::exp2(std::round(std::log2(rate)));
     for (std::size_t s = 0; s < runtime.size(); ++s) {
       if (runtime[s].sites.empty()) continue;
@@ -524,18 +486,16 @@ ComposeReport compose_impl(const masm::AsmProgram& program,
   // below (commutative count sums) is identical for every jobs and
   // stride — and so is the stop decision, which only reads those slots
   // at boundaries fixed before anything ran.
-  vm::VmOptions faulty = options.vm;
-  faulty.max_steps = max_steps;
-  faulty.track_touched_functions = caching;
   std::vector<WorkItem> work;
   std::vector<vm::FaultSpec> faults;  // work[w]'s fault, index-aligned
   std::vector<std::uint8_t> outcomes;
   std::vector<std::uint64_t> touched;
   std::vector<std::uint64_t> rejoin_sites;
   std::vector<std::uint8_t> rejoined;
-  TrialExecutor executor(decoded, ckpts, fast_forward, faulty, options.jobs);
+  TrialExecutor executor(golden, faulty, options.jobs);
   const auto record = [&](std::size_t w, const vm::VmResult& run) {
-    outcomes[w] = static_cast<std::uint8_t>(probe_outcome(run, golden.output));
+    outcomes[w] =
+        static_cast<std::uint8_t>(probe_outcome(run, golden_run.output));
     if (caching) {
       touched[w] = run.touched_functions;
       rejoined[w] = run.rejoined ? 1 : 0;

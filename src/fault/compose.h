@@ -82,11 +82,10 @@ struct ComposeOptions {
   /// cacheable. Key material (ferrum-section-v2).
   double max_half_width = 0.0;
   vm::VmOptions vm;
-  /// Worker threads / checkpoint stride — result-invariant scheduling
-  /// knobs, excluded from cache keys by contract (the same contract
-  /// cell_key documents for whole-program cells).
+  /// Worker threads — a result-invariant scheduling knob, excluded from
+  /// cache keys by contract (the same contract cell_key documents for
+  /// whole-program cells).
   int jobs = 1;
-  int ckpt_stride = 64;
   /// Audit mode only: probe every Nth dynamic site (ids congruent to 0
   /// mod N), mirroring AuditOptions::site_stride so a strided compose
   /// and a strided audit sweep the identical frame and exact agreement

@@ -1,12 +1,14 @@
-// The trial executor: runs a pre-drawn fault plan across a pool of
-// per-worker engines, every pool chunk as one golden walk
-// (vm::Engine::walk). Campaigns, audits, compose rounds and the benches
-// that re-inject a plan all run their trials through it.
+// The golden run and the trial executor. Every campaign, audit and
+// compose round, and every bench that re-injects a plan, prepares one
+// fault::Golden and runs its trials through a TrialExecutor over it:
+// a pool of per-worker engines, every pool chunk as one golden walk
+// (vm::Engine::walk).
 //
 // Determinism: which worker runs which chunk depends on scheduling, so a
 // result sink must write only the slot of the trial index it is handed
 // and reduce the slots in index order afterwards. Each trial's result is
-// bit-identical to a cold run of its fault set, whatever the chunking.
+// bit-identical to a cold run of its fault set, whatever the chunking
+// and whatever the checkpoint stride.
 #pragma once
 
 #include <cstdint>
@@ -14,24 +16,72 @@
 #include <memory>
 #include <vector>
 
+#include "masm/masm.h"
 #include "support/parallel.h"
 #include "vm/engine.h"
 #include "vm/vm.h"
 
 namespace ferrum::fault {
 
+/// What a golden run records besides its result and checkpoints. A run
+/// records only what its caller reads.
+enum class GoldenRecord : std::uint8_t {
+  kNothing,
+  /// The flat pc of every dynamic FI site, which resolves a dynamic site
+  /// id to its static instruction (pruned campaigns and audits, compose).
+  kSiteMap,
+  /// The site map plus a liveness-masked digest of the machine state at
+  /// every site (compose with a summary cache; see
+  /// vm::Engine::set_state_digest_sink).
+  kSiteDigests,
+};
+
+/// The golden (fault-free) run of one program: the predecode every trial
+/// engine reads, the result trials are classified against, and the
+/// checkpoints they restore from. Immutable after construction, so one
+/// instance may back any number of concurrent campaigns of the program;
+/// the program must outlive it.
+///
+/// The run depends on vm.fault_store_data (it numbers the dynamic FI
+/// sites), so only trials under the same setting may use it. The
+/// checkpoint stride never changes a result: it is a constructor
+/// argument here and nowhere else, so the tests can cross it.
+struct Golden {
+  /// Runs the golden run under `vm`, capturing a checkpoint every
+  /// `ckpt_stride` dynamic FI sites unless the stride is 0 or `vm` is
+  /// hooked, and recording what `record` names. Throws
+  /// std::runtime_error when the run does not exit cleanly.
+  Golden(const masm::AsmProgram& program, const vm::VmOptions& vm,
+         GoldenRecord record = GoldenRecord::kNothing, int ckpt_stride = 64);
+
+  /// `trials` with the step budget of a faulty run (fault/step_budget.h):
+  /// a fault can turn the program into a livelock. Throws
+  /// std::invalid_argument when `trials` disagrees with this run on
+  /// fault_store_data, which numbers the sites the trials inject into.
+  vm::VmOptions faulty(vm::VmOptions trials) const;
+
+  vm::PredecodedProgram decoded;
+  vm::CheckpointSet ckpts;  // empty unless captured
+  vm::VmResult result;
+  bool captured = false;    // checkpoints were captured
+  bool store_data = false;  // vm.fault_store_data of the run
+  GoldenRecord record = GoldenRecord::kNothing;
+  /// site_pcs[id] is the flat pc of dynamic site id (kSiteMap and
+  /// kSiteDigests); site_digests[id] its state digest (kSiteDigests).
+  std::vector<std::int32_t> site_pcs;
+  std::vector<std::uint64_t> site_digests;
+};
+
 class TrialExecutor {
  public:
   /// Receives trial `i`'s result (called on the worker that ran it).
   using Sink = std::function<void(std::size_t, const vm::VmResult&)>;
 
-  /// `ckpts` comes from the golden run of `decoded`; with `fast_forward`
-  /// off it is not used (cold walks) and only described. Both must
-  /// outlive the executor. `faulty` are the trials' VM options, step
-  /// budget included.
-  TrialExecutor(const vm::PredecodedProgram& decoded,
-                const vm::CheckpointSet& ckpts, bool fast_forward,
-                const vm::VmOptions& faulty, int jobs);
+  /// Trials restore from `golden`'s checkpoints when it captured them
+  /// and `faulty` is not hooked; otherwise every walk starts cold.
+  /// `golden` must outlive the executor. `faulty` are the trials' VM
+  /// options, step budget included (Golden::faulty).
+  TrialExecutor(const Golden& golden, const vm::VmOptions& faulty, int jobs);
 
   /// Runs trials [begin, end) of `plan`, where trial i injects the
   /// `faults_per_trial` specs starting at plan[i * faults_per_trial].
@@ -56,8 +106,7 @@ class TrialExecutor {
   vm::CheckpointTelemetry telemetry() const;
 
  private:
-  const vm::PredecodedProgram& decoded_;
-  const vm::CheckpointSet& ckpts_;
+  const Golden& golden_;
   const bool fast_forward_;
   const vm::VmOptions faulty_;
   ThreadPool pool_;

@@ -96,7 +96,6 @@ telemetry::Json cell_to_json(const fault::CampaignCell& cell) {
   if (cell.prune) json["prune"] = true;
   if (cell.max_half_width != 0.0) json["max_half_width"] = cell.max_half_width;
   if (cell.jobs != 1) json["jobs"] = cell.jobs;
-  if (cell.ckpt_stride != 64) json["ckpt_stride"] = cell.ckpt_stride;
   return json;
 }
 
@@ -176,7 +175,7 @@ bool cell_from_json(const telemetry::Json& json, fault::CampaignCell& cell,
   static constexpr const char* kKnown[] = {
       "program", "workload",       "scale", "technique",  "trials",
       "seed",    "faults_per_run", "burst", "store_data", "prune",
-      "jobs",    "ckpt_stride",    "max_half_width"};
+      "jobs",    "max_half_width"};
   for (const auto& [key, value] : json.fields()) {
     (void)value;
     bool known = false;
@@ -217,7 +216,6 @@ bool cell_from_json(const telemetry::Json& json, fault::CampaignCell& cell,
     return false;
   }
   if (!take_int(json, "jobs", cell.jobs, error)) return false;
-  if (!take_int(json, "ckpt_stride", cell.ckpt_stride, error)) return false;
   return fault::validate_cell(cell, error);
 }
 

@@ -45,9 +45,9 @@ struct ServiceOptions {
   std::string cache_dir;
 };
 
-/// Per-program engine state shared across cells: the predecode, golden
-/// run and checkpoint set (fault::PreparedCampaign) plus shared ownership
-/// of the program the predecode points into. Built once per
+/// Per-program engine state shared across cells: the golden run
+/// (fault::Golden: predecode, result and checkpoints) plus shared
+/// ownership of the program the predecode points into. Built once per
 /// (program hash, store_data) under a program-hash lock and handed
 /// read-only to every campaign of that program — N cells over different
 /// seeds/trials/techniques-that-built-the-same-assembly no longer each
@@ -55,11 +55,11 @@ struct ServiceOptions {
 /// duration of its run, so the state can never die under a campaign.
 struct SharedProgramState {
   SharedProgramState(std::shared_ptr<const masm::AsmProgram> prog,
-                     const vm::VmOptions& vm, int ckpt_stride)
-      : program(std::move(prog)), prepared(*program, vm, ckpt_stride) {}
+                     const vm::VmOptions& vm)
+      : program(std::move(prog)), golden(*program, vm) {}
 
   std::shared_ptr<const masm::AsmProgram> program;  // keeps decode alive
-  fault::PreparedCampaign prepared;
+  fault::Golden golden;
 };
 
 /// The finished state of one cell. `result_json` holds the deterministic

@@ -79,10 +79,6 @@ int env_jobs() {
   return env_int("FERRUM_JOBS", ThreadPool::hardware_workers());
 }
 
-int env_ckpt_stride(int fallback) {
-  return env_int("FERRUM_CKPT_STRIDE", fallback, /*min_value=*/0);
-}
-
 double env_ci_target(double fallback) {
   return env_double("FERRUM_CI_TARGET", fallback, /*min_value=*/0.0,
                     /*max_value=*/0.5);

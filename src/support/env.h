@@ -49,16 +49,10 @@ int env_scale(int fallback = 2);
 /// value; the knob only changes wall-clock time.
 int env_jobs();
 
-/// FERRUM_CKPT_STRIDE — golden-run checkpoint stride (in dynamic FI
-/// sites) for campaign/audit fast-forwarding. Floor 0: zero disables
-/// checkpointing (cold walks). Like FERRUM_JOBS, the value only moves
-/// wall-clock time — results are bit-identical for every stride.
-int env_ckpt_stride(int fallback = 64);
-
 /// FERRUM_CI_TARGET — adaptive stop-rule target: the campaign stops at
 /// the first power-of-two boundary where every outcome-rate Wilson
 /// half-width is <= this value (fault/adaptive.h). Range [0, 0.5); 0
-/// (the default) disables early stopping. UNLIKE the engine knobs above
+/// (the default) disables early stopping. UNLIKE FERRUM_JOBS above
 /// this one changes results — it is cell/section cache-key material.
 double env_ci_target(double fallback = 0.0);
 

@@ -17,9 +17,10 @@ std::uint64_t log2_bucket_upper(int i) {
 }
 
 // Checkpoint/fast-forward accounting shared by the campaign and audit
-// wallclock views. Deterministic for a fixed FERRUM_CKPT_STRIDE but not
-// across strides, so it lives with the observability data to keep the
-// metrics sections byte-identical for every stride.
+// wallclock views. Deterministic for a fixed checkpoint stride
+// (fault::Golden's argument) but not across strides, so it lives with the
+// observability data to keep the metrics sections byte-identical for
+// every stride.
 Json ckpt_json(const vm::CheckpointTelemetry& ckpt) {
   Json json = Json::object();
   json["stride"] = ckpt.stride;

@@ -784,7 +784,7 @@ class Engine::Impl {
                      [](const Lane& a, const Lane& b) { return a.site < b.site; });
 
     options_ = &options;
-    hooked_ = options.timing || options.profile || options.trace_limit != 0;
+    hooked_ = options.hooked();
     site_observers_ = options.profile || site_pc_sink_ != nullptr ||
                       state_digest_sink_ != nullptr;
     touch_track_ = options.track_touched_functions;

@@ -287,7 +287,7 @@ class CheckpointSet {
 /// trial restores does not depend on scheduling), but stride-dependent —
 /// so it is reported under the wallclock/observability section of the
 /// bench artifacts, keeping the metrics sections byte-identical across
-/// FERRUM_CKPT_STRIDE values.
+/// the strides the tests cross (fault::Golden's argument).
 struct FastForwardStats {
   // The ledger of the golden walk (Engine::walk). The walk interprets
   // the fault-free golden stream from a restored checkpoint or the cold
@@ -364,8 +364,8 @@ struct FastForwardStats {
 /// Checkpoint telemetry surfaced by campaigns/audits in the BENCH
 /// artifacts' wallclock (observability) section.
 struct CheckpointTelemetry {
-  /// Effective capture stride after thinning; 0 = cold execution (knob
-  /// disabled or the run needed the full prefix for timing/profiling).
+  /// Effective capture stride after thinning; 0 = cold execution (no
+  /// checkpoints captured, or hooked trials that need the full prefix).
   int stride = 0;
   std::uint64_t checkpoints = 0;
   /// CheckpointSet::page_bytes / table_bytes / snapshot_bytes (their sum).

@@ -105,6 +105,12 @@ struct VmOptions {
   /// summary depends on beyond the section itself. Off by default: the
   /// accounting costs a couple of branches on call/ret.
   bool track_touched_functions = false;
+
+  /// Timing, profile or trace is on. Their state accumulates from the
+  /// cold start and no checkpoint holds it, so a hooked run never
+  /// restores a checkpoint or forks, and a hooked golden run captures
+  /// none.
+  bool hooked() const { return timing || profile || trace_limit != 0; }
 };
 
 struct VmResult {

@@ -396,31 +396,28 @@ TEST(Adaptive, PruneModeRejectsTheStopRule) {
 // ---------------------------------------------------- prepared state --
 
 TEST(Prepared, SharedStateIsResultInvariant) {
-  // PreparedCampaign is the service's cross-cell engine-state reuse: a
-  // campaign run against a pre-built predecode/golden/checkpoint set
-  // must be byte-identical to one that builds its own.
+  // fault::Golden is the service's cross-cell engine-state reuse: a
+  // campaign run against a golden run prepared beforehand must be
+  // byte-identical to one that prepares its own.
   const auto& w = workloads::by_name("bfs");
   auto build = pipeline::build(w.source, Technique::kFerrum);
   fault::CampaignOptions options;
   options.trials = 96;
   const auto owned = fault::run_campaign(build.program, options);
 
-  const fault::PreparedCampaign prepared(build.program, options.vm,
-                                         /*ckpt_stride=*/64);
-  options.prepared = &prepared;
-  const auto shared = fault::run_campaign(build.program, options);
+  const fault::Golden golden(build.program, options.vm);
+  const auto shared = fault::run_campaign(golden, options);
   EXPECT_EQ(telemetry::to_json(owned).dump(),
             telemetry::to_json(shared).dump());
 
-  // Different seeds/trials against ONE prepared state (the service's
+  // Different seeds/trials against ONE golden run (the service's
   // N-cells-one-program pattern) still match their owned-state twins.
   for (const std::uint64_t seed : {1u, 2u}) {
     fault::CampaignOptions cell;
     cell.trials = 64;
     cell.seed = seed;
     const auto cold = fault::run_campaign(build.program, cell);
-    cell.prepared = &prepared;
-    const auto warm = fault::run_campaign(build.program, cell);
+    const auto warm = fault::run_campaign(golden, cell);
     EXPECT_EQ(telemetry::to_json(cold).dump(),
               telemetry::to_json(warm).dump());
   }
@@ -430,13 +427,33 @@ TEST(Prepared, StoreDataMismatchThrows) {
   auto build = pipeline::build(kSmallProgram, Technique::kFerrum);
   vm::VmOptions vm;
   vm.fault_store_data = false;
-  const fault::PreparedCampaign prepared(build.program, vm, 64);
+  const fault::Golden golden(build.program, vm);
   fault::CampaignOptions options;
   options.trials = 16;
   options.vm.fault_store_data = true;  // disagrees: different site space
-  options.prepared = &prepared;
-  EXPECT_THROW(fault::run_campaign(build.program, options),
-               std::invalid_argument);
+  EXPECT_THROW(fault::run_campaign(golden, options), std::invalid_argument);
+}
+
+TEST(Prepared, PruneNeedsTheSiteMap) {
+  // A pruned campaign or audit resolves dynamic sites through the golden
+  // run's site map; a golden run that did not record it is refused.
+  auto build = pipeline::build(kSmallProgram, Technique::kFerrum);
+  const check::prune::PruneReport prune =
+      check::prune::prune_program(build.program);
+  const fault::Golden golden(build.program, vm::VmOptions{});
+  fault::CampaignOptions campaign;
+  campaign.trials = 16;
+  campaign.prune = &prune;
+  EXPECT_THROW(fault::run_campaign(golden, campaign), std::invalid_argument);
+  fault::AuditOptions audit;
+  audit.prune = &prune;
+  EXPECT_THROW(fault::audit_program(golden, audit), std::invalid_argument);
+
+  const fault::Golden mapped(build.program, vm::VmOptions{},
+                             fault::GoldenRecord::kSiteMap);
+  EXPECT_EQ(telemetry::to_json(fault::run_campaign(mapped, campaign)).dump(),
+            telemetry::to_json(fault::run_campaign(build.program, campaign))
+                .dump());
 }
 
 }  // namespace

@@ -52,22 +52,24 @@ constexpr const char* kSmallProgram = R"(
     return 0;
   })";
 
-/// The deterministic section of a campaign, as the BENCH artifacts
-/// serialise it. Byte-equality of these strings is the satellite's
-/// "byte-identical campaign JSON" acceptance criterion.
+/// The deterministic section of a campaign over a golden run captured at
+/// `stride`, as the BENCH artifacts serialise it. Byte-equality of these
+/// strings is the "byte-identical campaign JSON" contract.
 std::string campaign_json(const masm::AsmProgram& program,
                           fault::CampaignOptions options, int stride,
                           int jobs) {
-  options.ckpt_stride = stride;
+  const fault::Golden golden(program, options.vm,
+                             fault::GoldenRecord::kNothing, stride);
   options.jobs = jobs;
-  return telemetry::to_json(fault::run_campaign(program, options)).dump();
+  return telemetry::to_json(fault::run_campaign(golden, options)).dump();
 }
 
 std::string audit_json(const masm::AsmProgram& program,
                        fault::AuditOptions options, int stride, int jobs) {
-  options.ckpt_stride = stride;
+  const fault::Golden golden(program, options.vm,
+                             fault::GoldenRecord::kNothing, stride);
   options.jobs = jobs;
-  return telemetry::to_json(fault::audit_program(program, options)).dump();
+  return telemetry::to_json(fault::audit_program(golden, options)).dump();
 }
 
 /// Field-by-field VmResult comparison — every deterministic field,
@@ -170,12 +172,13 @@ TEST(EngineEquivalence, CampaignColdFallbackWhenTimingNeedsPrefix) {
   fault::CampaignOptions options;
   options.trials = 32;
   options.vm.timing = true;
-  options.ckpt_stride = 64;
   const auto result = fault::run_campaign(build.program, options);
-  EXPECT_EQ(result.ckpt.stride, 0);  // cold: knob ignored, not misapplied
+  EXPECT_EQ(result.ckpt.stride, 0);  // cold: stride ignored, not misapplied
   EXPECT_EQ(result.ckpt.ff.restores, 0u);
-  options.ckpt_stride = 0;
-  const auto cold = fault::run_campaign(build.program, options);
+  const auto cold = fault::run_campaign(
+      fault::Golden(build.program, options.vm, fault::GoldenRecord::kNothing,
+                    /*ckpt_stride=*/0),
+      options);
   EXPECT_EQ(telemetry::to_json(result).dump(),
             telemetry::to_json(cold).dump());
 }
@@ -392,7 +395,6 @@ TEST(Engine, TrialCostLedgerLandsInWallclockOnly) {
   auto build = pipeline::build(w.source, Technique::kFerrum);
   fault::CampaignOptions options;
   options.trials = 48;
-  options.ckpt_stride = 64;
   const auto result = fault::run_campaign(build.program, options);
   const telemetry::Json wallclock = telemetry::wallclock_json(result);
   const telemetry::Json* ckpt = wallclock.find("ckpt");

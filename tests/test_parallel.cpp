@@ -137,11 +137,12 @@ TEST(ThreadPoolTest, CheckpointedCampaignSharesSnapshotsAcrossWorkers) {
     })", pipeline::Technique::kFerrum);
   fault::CampaignOptions options;
   options.trials = 96;
-  options.ckpt_stride = 4;
   options.jobs = 1;
-  const auto serial = fault::run_campaign(build.program, options);
+  const fault::Golden golden(build.program, options.vm,
+                             fault::GoldenRecord::kNothing, /*ckpt_stride=*/4);
+  const auto serial = fault::run_campaign(golden, options);
   options.jobs = 8;
-  const auto parallel = fault::run_campaign(build.program, options);
+  const auto parallel = fault::run_campaign(golden, options);
   EXPECT_EQ(serial.counts, parallel.counts);
   EXPECT_EQ(serial.sdc_breakdown, parallel.sdc_breakdown);
   EXPECT_GT(parallel.ckpt.ff.restores, 0u);
@@ -164,18 +165,18 @@ TEST(ThreadPoolTest, GoldenWalksAreJobsInvariant) {
   const check::prune::PruneReport prune =
       check::prune::prune_program(build.program);
   fault::AuditOptions audit;
-  audit.ckpt_stride = 4;
   audit.prune = &prune;
   fault::CampaignOptions campaign;
   campaign.trials = 96;
-  campaign.ckpt_stride = 4;
+  const fault::Golden golden(build.program, audit.vm,
+                             fault::GoldenRecord::kSiteMap, /*ckpt_stride=*/4);
   std::string audit_truth;
   std::string campaign_truth;
   for (const int jobs : {1, 4}) {
     audit.jobs = jobs;
-    const auto audited = fault::audit_program(build.program, audit);
+    const auto audited = fault::audit_program(golden, audit);
     campaign.jobs = jobs;
-    const auto sampled = fault::run_campaign(build.program, campaign);
+    const auto sampled = fault::run_campaign(golden, campaign);
     if (jobs == 1) {
       audit_truth = telemetry::to_json(audited).dump();
       campaign_truth = telemetry::to_json(sampled).dump();
@@ -205,12 +206,13 @@ TEST(ThreadPoolTest, PrunedCampaignIsJobsInvariant) {
       check::prune::prune_program(build.program);
   fault::CampaignOptions options;
   options.trials = 96;
-  options.ckpt_stride = 4;
   options.prune = &prune;
   options.jobs = 1;
-  const auto serial = fault::run_campaign(build.program, options);
+  const fault::Golden golden(build.program, options.vm,
+                             fault::GoldenRecord::kSiteMap, /*ckpt_stride=*/4);
+  const auto serial = fault::run_campaign(golden, options);
   options.jobs = 8;
-  const auto parallel = fault::run_campaign(build.program, options);
+  const auto parallel = fault::run_campaign(golden, options);
   EXPECT_EQ(serial.counts, parallel.counts);
   EXPECT_EQ(serial.sdc_breakdown, parallel.sdc_breakdown);
   EXPECT_EQ(serial.latency_sum, parallel.latency_sum);
@@ -226,8 +228,8 @@ TEST(ThreadPoolTest, AdaptiveCampaignIsJobsInvariant) {
   // joins the pool after every block, then reads each trial's outcome
   // slot from the calling thread — the determinism contract (and the
   // happens-before edge behind it) is that the stopped count and every
-  // counter agree across workers. A shared
-  // PreparedCampaign rides along, read concurrently by all workers, to
+  // counter agree across workers. One shared
+  // fault::Golden serves every run, read concurrently by all workers, to
   // mirror the service's cross-cell reuse under the race detector.
   auto build = pipeline::build(R"(
     int main() {
@@ -239,16 +241,14 @@ TEST(ThreadPoolTest, AdaptiveCampaignIsJobsInvariant) {
   fault::CampaignOptions options;
   options.trials = 2048;
   options.max_half_width = 0.05;
-  options.ckpt_stride = 4;
   options.jobs = 1;
-  const auto serial = fault::run_campaign(build.program, options);
+  const fault::Golden golden(build.program, options.vm,
+                             fault::GoldenRecord::kNothing, /*ckpt_stride=*/4);
+  const auto serial = fault::run_campaign(golden, options);
   ASSERT_TRUE(serial.adaptive.stopped_early);
-  const fault::PreparedCampaign prepared(build.program, options.vm,
-                                         /*ckpt_stride=*/4);
   for (const int jobs : {2, 8}) {
     options.jobs = jobs;
-    options.prepared = &prepared;
-    const auto parallel = fault::run_campaign(build.program, options);
+    const auto parallel = fault::run_campaign(golden, options);
     EXPECT_EQ(serial.adaptive.executed_trials,
               parallel.adaptive.executed_trials);
     EXPECT_EQ(serial.counts, parallel.counts);

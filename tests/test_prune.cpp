@@ -26,7 +26,7 @@
 #include "check/prune.h"
 #include "fault/audit.h"
 #include "fault/campaign.h"
-#include "fault/step_budget.h"
+#include "fault/executor.h"
 #include "masm/fault_site.h"
 #include "masm/parser.h"
 #include "pipeline/pipeline.h"
@@ -218,16 +218,11 @@ void expect_dead_bits_invisible(const std::string& label,
                                 const masm::AsmProgram& program,
                                 std::uint64_t sample_cap) {
   const PruneReport prune = check::prune::prune_program(program);
-  const vm::PredecodedProgram decoded(program);
-  vm::VmOptions options;
-  vm::CheckpointSet ckpts;
-  vm::Engine engine(decoded, options);
-  std::vector<std::int32_t> site_pcs;
-  engine.set_site_pc_sink(&site_pcs);
-  const vm::VmResult golden = engine.run_capturing(options, 64, ckpts);
-  engine.set_site_pc_sink(nullptr);
-  ASSERT_TRUE(golden.ok()) << label;
-  const auto& code = decoded.code();
+  const vm::VmOptions options;
+  const fault::Golden prepared(program, options, fault::GoldenRecord::kSiteMap);
+  const vm::VmResult& golden = prepared.result;
+  const std::vector<std::int32_t>& site_pcs = prepared.site_pcs;
+  const auto& code = prepared.decoded.code();
 
   // Pass 1: count dead pairs (and check the dynamic->static mapping).
   std::uint64_t dead_pairs = 0;
@@ -244,8 +239,8 @@ void expect_dead_bits_invisible(const std::string& label,
   const std::uint64_t stride = std::max<std::uint64_t>(1, dead_pairs / sample_cap);
 
   // Pass 2: inject every stride-th dead pair.
-  vm::VmOptions faulty = options;
-  faulty.max_steps = fault::faulty_step_budget(golden.steps);
+  const vm::VmOptions faulty = prepared.faulty(options);
+  vm::Engine engine(prepared.decoded, faulty);
   std::uint64_t index = 0;
   std::uint64_t checked = 0;
   for (std::uint64_t id = 0; id < golden.fi_sites; ++id) {
@@ -259,7 +254,8 @@ void expect_dead_bits_invisible(const std::string& label,
       vm::FaultSpec spec;
       spec.site = id;
       spec.bit = bit;
-      const vm::VmResult run = engine.run_from(ckpts, faulty, &spec, 1);
+      const vm::VmResult run =
+          engine.run_from(prepared.ckpts, faulty, &spec, 1);
       ++checked;
       ASSERT_EQ(run.status, golden.status) << label << " site " << id
                                            << " bit " << bit;

@@ -138,14 +138,13 @@ TEST(CellKey, ResultAffectingKnobsChangeTheKey) {
 }
 
 TEST(CellKey, EngineKnobsAreNotKeyMaterial) {
-  // jobs / ckpt_stride are proven result-invariant (tests/test_engine.cpp
-  // byte-compares campaign JSON across them), so a warm query with
-  // different engine knobs must still hit the store.
+  // jobs is proven result-invariant (tests/test_engine.cpp byte-compares
+  // campaign JSON across it), so a warm query with another jobs value
+  // must still hit the store.
   const CampaignCell base;
   const std::string base_material = fault::cell_key_material(base, kEmptySha);
   CampaignCell cell = base;
   cell.jobs = 8;
-  cell.ckpt_stride = 0;
   EXPECT_EQ(fault::cell_key_material(cell, kEmptySha), base_material);
 }
 
@@ -249,7 +248,6 @@ TEST(Proto, CellJsonRoundTrip) {
   cell.burst = 3;
   cell.store_data = true;
   cell.jobs = 4;
-  cell.ckpt_stride = 16;
   cell.max_half_width = 0.03;
   CampaignCell parsed;
   std::string error;
@@ -265,7 +263,6 @@ TEST(Proto, CellJsonRoundTrip) {
   EXPECT_EQ(parsed.burst, cell.burst);
   EXPECT_EQ(parsed.store_data, cell.store_data);
   EXPECT_EQ(parsed.jobs, cell.jobs);
-  EXPECT_EQ(parsed.ckpt_stride, cell.ckpt_stride);
   EXPECT_EQ(parsed.max_half_width, cell.max_half_width);
 }
 
@@ -320,7 +317,7 @@ TEST(Proto, CellJsonRejectsWrongTypeForEveryKnownKey) {
     }
   };
   for (const char* key : {"scale", "trials", "seed", "faults_per_run",
-                          "burst", "jobs", "ckpt_stride"}) {
+                          "burst", "jobs"}) {
     telemetry::Json as_string = base();
     as_string[key] = "100";
     rejects(std::move(as_string));
@@ -370,7 +367,7 @@ TEST(Proto, CellJsonRejectsOutOfRangeAndNegativeIntegers) {
   rejects(std::move(huge));
   telemetry::Json low = telemetry::Json::object();
   low["workload"] = "bfs";
-  low["ckpt_stride"] = static_cast<std::int64_t>(-4294967297LL);
+  low["burst"] = static_cast<std::int64_t>(-4294967297LL);
   rejects(std::move(low));
   // seed is uint64: a negative value used to wrap to a huge seed.
   telemetry::Json negative_seed = telemetry::Json::object();
@@ -507,7 +504,6 @@ TEST(Service, WarmAcrossEngineKnobs) {
 
   CampaignCell retuned = tiny_cell();
   retuned.jobs = 1;
-  retuned.ckpt_stride = 0;
   const std::uint64_t warm_job = daemon.submit({retuned});
   const service::CellOutcome* warm = daemon.wait_cell(warm_job, 0);
   ASSERT_NE(warm, nullptr);
@@ -559,7 +555,7 @@ TEST(Service, MultiCellJobCompletesWithConsistentStatus) {
 TEST(Service, StatsCountTheGoldenStatesSnapshotBytes) {
   // Every golden state the daemon builds stays resident, so the counter
   // is the summed checkpoint footprint of the programs it has run: the
-  // same bytes fault::PreparedCampaign holds for each at stride 64.
+  // same bytes a default fault::Golden holds for each.
   service::Daemon daemon({2, ""});
   CampaignCell bfs;
   bfs.workload = "bfs";
@@ -580,8 +576,8 @@ TEST(Service, StatsCountTheGoldenStatesSnapshotBytes) {
         std::pair{workloads::scaled("bfs", 1).source,
                   pipeline::Technique::kNone}}) {
     const auto build = pipeline::build(source, technique);
-    expected += fault::PreparedCampaign(build.program, golden_options, 64)
-                    .ckpts.snapshot_bytes();
+    expected +=
+        fault::Golden(build.program, golden_options).ckpts.snapshot_bytes();
   }
   EXPECT_GT(expected, 0u);
   EXPECT_EQ(counter_value(daemon, "service/golden/snapshot_bytes"), expected);
@@ -793,9 +789,10 @@ TEST(ServiceSocket, RejectsMalformedRequestsButStaysUsable) {
 }
 
 TEST(ServiceSocket, RetiredEngineKnobsAreUnknownFields) {
-  // `batch` and `dispatch` were engine knobs that never changed a result;
-  // both are gone, and a cell that still carries one gets the strict
-  // parser's unknown-field error naming it. The daemon answers on.
+  // `batch`, `dispatch` and `ckpt_stride` were engine knobs that never
+  // changed a result; all three are gone, and a cell that still carries
+  // one gets the strict parser's unknown-field error naming it. The
+  // daemon answers on.
   ServedDaemon served(1);
   std::string error;
   Conn raw = connect_unix(served.socket_path, &error);
@@ -804,7 +801,8 @@ TEST(ServiceSocket, RetiredEngineKnobsAreUnknownFields) {
   for (const auto& [field, value] :
        {std::pair<const char*, telemetry::Json>{
             "batch", telemetry::Json(static_cast<std::int64_t>(8))},
-        {"dispatch", telemetry::Json("threaded")}}) {
+        {"dispatch", telemetry::Json("threaded")},
+        {"ckpt_stride", telemetry::Json(static_cast<std::int64_t>(16))}}) {
     telemetry::Json cell = service::cell_to_json(tiny_cell(20));
     cell[field] = value;
     telemetry::Json cells = telemetry::Json::array();

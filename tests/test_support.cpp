@@ -206,22 +206,6 @@ TEST(Env, SharedKnobJobs) {
   EXPECT_GE(env_jobs(), 1);  // hardware concurrency, at least 1
 }
 
-TEST(Env, SharedKnobCkptStride) {
-  ::unsetenv("FERRUM_CKPT_STRIDE");
-  EXPECT_EQ(env_ckpt_stride(), 64);
-  EXPECT_EQ(env_ckpt_stride(128), 128);
-  ::setenv("FERRUM_CKPT_STRIDE", "16", 1);
-  EXPECT_EQ(env_ckpt_stride(), 16);
-  // Floor is 0, not 1: zero is meaningful (disables checkpointing).
-  ::setenv("FERRUM_CKPT_STRIDE", "0", 1);
-  EXPECT_EQ(env_ckpt_stride(), 0);
-  ::setenv("FERRUM_CKPT_STRIDE", "-4", 1);
-  EXPECT_EQ(env_ckpt_stride(), 64);
-  ::setenv("FERRUM_CKPT_STRIDE", "6O", 1);  // atoi would read 6
-  EXPECT_EQ(env_ckpt_stride(), 64);
-  ::unsetenv("FERRUM_CKPT_STRIDE");
-}
-
 TEST(Str, SplitKeepsEmptyFields) {
   auto parts = split("a,,b,", ',');
   ASSERT_EQ(parts.size(), 4u);
