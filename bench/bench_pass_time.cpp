@@ -15,7 +15,7 @@
 #include "backend/backend.h"
 #include "bench_util.h"
 #include "check/check.h"
-#include "eddi/ferrum.h"
+#include "eddi/asm_protect.h"
 #include "frontend/codegen.h"
 #include "pipeline/pipeline.h"
 #include "support/source_location.h"
@@ -41,8 +41,8 @@ void BM_FerrumPass(benchmark::State& state, const std::string& name) {
     state.PauseTiming();
     masm::AsmProgram copy = original;  // protect a fresh copy each round
     state.ResumeTiming();
-    const auto report = eddi::apply_ferrum(copy);
-    benchmark::DoNotOptimize(report.stats.simd_sites);
+    const auto stats = eddi::protect_asm(copy);
+    benchmark::DoNotOptimize(stats.simd_sites);
   }
   state.counters["static_insts"] =
       static_cast<double>(static_instructions);
@@ -72,8 +72,8 @@ void BM_FerrumPassScaling(benchmark::State& state) {
     state.PauseTiming();
     masm::AsmProgram copy = original;
     state.ResumeTiming();
-    const auto report = eddi::apply_ferrum(copy);
-    benchmark::DoNotOptimize(report.static_instructions_after);
+    eddi::protect_asm(copy);
+    benchmark::DoNotOptimize(copy.inst_count());
   }
   state.counters["static_insts"] =
       static_cast<double>(original.inst_count());
@@ -128,18 +128,22 @@ int main(int argc, char** argv) {
     benchutil::BenchReport report("bench_pass_time");
     for (const auto& w : workloads::all()) {
       masm::AsmProgram program = lower_workload(w.name);
-      const auto pass = eddi::apply_ferrum(program);
+      const std::size_t before = program.inst_count();
+      const auto start = std::chrono::steady_clock::now();
+      const eddi::AsmProtectStats stats = eddi::protect_asm(program);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
       telemetry::Json row = telemetry::Json::object();
-      row["static_instructions_before"] =
-          static_cast<std::uint64_t>(pass.static_instructions_before);
+      row["static_instructions_before"] = static_cast<std::uint64_t>(before);
       row["static_instructions_after"] =
-          static_cast<std::uint64_t>(pass.static_instructions_after);
-      row["simd_sites"] = pass.stats.simd_sites;
-      row["general_sites"] = pass.stats.general_sites;
-      row["flushes"] = pass.stats.flushes;
-      row["requisitions"] = pass.stats.requisitions;
+          static_cast<std::uint64_t>(program.inst_count());
+      row["simd_sites"] = stats.simd_sites;
+      row["general_sites"] = stats.general_sites;
+      row["flushes"] = stats.flushes;
+      row["requisitions"] = stats.requisitions;
       report.metrics()["workloads"][w.name] = row;
-      report.wallclock()["pass_seconds"][w.name] = pass.seconds;
+      report.wallclock()["pass_seconds"][w.name] = seconds;
     }
     report.wallclock()["check_program"] = check_program_seconds();
     report.write();

@@ -1,6 +1,5 @@
 #include "eddi/asm_protect.h"
 
-#include <chrono>
 #include <stdexcept>
 #include <vector>
 
@@ -972,7 +971,6 @@ class FunctionProtector {
 
 AsmProtectStats protect_asm(masm::AsmProgram& program,
                             const AsmProtectOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
   AsmProtectStats stats;
   int ordinal = 0;
   for (std::size_t f = 0; f < program.functions.size(); ++f) {
@@ -980,8 +978,6 @@ AsmProtectStats protect_asm(masm::AsmProgram& program,
                                 options, stats, ordinal);
     protector.run();
   }
-  stats.pass_seconds = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - start).count();
   return stats;
 }
 

@@ -99,8 +99,6 @@ struct AsmProtectStats {
   std::uint64_t functions_with_spare_xmms = 0;
   std::uint64_t functions_total = 0;
   std::uint64_t unprotected_sites = 0;  // should stay 0; audited by tests
-  /// Wall-clock seconds spent inside the pass.
-  double pass_seconds = 0.0;
 };
 
 /// Applies the protection in place. The program must follow the backend's

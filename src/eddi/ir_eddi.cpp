@@ -1,6 +1,5 @@
 #include "eddi/ir_eddi.h"
 
-#include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -221,11 +220,7 @@ class IrEddiPass {
 }  // namespace
 
 IrEddiStats apply_ir_eddi(ir::Module& module, IrEddiMode mode) {
-  const auto start = std::chrono::steady_clock::now();
-  IrEddiStats stats = IrEddiPass(module, mode).run();
-  stats.pass_seconds = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - start).count();
-  return stats;
+  return IrEddiPass(module, mode).run();
 }
 
 }  // namespace ferrum::eddi

@@ -30,8 +30,6 @@ struct IrEddiStats {
   std::uint64_t duplicated = 0;
   std::uint64_t checks = 0;
   std::uint64_t edge_assertions = 0;
-  /// Wall-clock seconds spent inside the pass.
-  double pass_seconds = 0.0;
 };
 
 /// Applies the pass in place. The module stays verifier-clean and

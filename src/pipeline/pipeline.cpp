@@ -95,13 +95,8 @@ Build build(std::string_view source, Technique technique,
     // Extended-fault-model experiments toggle store verification for both
     // assembly-level techniques through the same knob.
     asm_options.protect_store_data = options.ferrum.protect_store_data;
-    const auto start = std::chrono::steady_clock::now();
-    {
-      PassScope scope(result, "protect");
-      result.asm_stats = eddi::protect_asm(result.program, asm_options);
-    }
-    result.protect_seconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
+    PassScope scope(result, "protect");
+    result.asm_stats = eddi::protect_asm(result.program, asm_options);
   } else if (technique == Technique::kFerrum) {
     eddi::AsmProtectOptions ferrum_options = options.ferrum;
     if (options.selective.strategy != SelectiveOptions::Strategy::kOff) {
@@ -113,13 +108,8 @@ Build build(std::string_view source, Technique technique,
       ferrum_options.selector = plan_selector(result.selective_plan);
       ferrum_options.coverage_ratio = 1.0;
     }
-    const auto start = std::chrono::steady_clock::now();
-    {
-      PassScope scope(result, "protect");
-      result.asm_stats = eddi::protect_asm(result.program, ferrum_options);
-    }
-    result.protect_seconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
+    PassScope scope(result, "protect");
+    result.asm_stats = eddi::protect_asm(result.program, ferrum_options);
   }
   if (technique == Technique::kHybrid || technique == Technique::kFerrum) {
     PassScope scope(result, "protect-verify");

@@ -45,8 +45,6 @@ struct Build {
   masm::AsmProgram program;
   eddi::IrEddiStats ir_stats;
   eddi::AsmProtectStats asm_stats;
-  /// Wall-clock seconds spent in the assembly-level protection pass.
-  double protect_seconds = 0.0;
   /// ferrum-check report from the protect-check pass (runs for every
   /// protected technique; empty/default for kNone). A violation here is
   /// a pipeline bug and build() throws, so a returned Build always

@@ -2,7 +2,6 @@
 
 #include "backend/backend.h"
 #include "eddi/asm_protect.h"
-#include "eddi/ferrum.h"
 #include "frontend/codegen.h"
 #include "masm/masm.h"
 #include "support/source_location.h"
@@ -274,16 +273,6 @@ TEST(AsmProtectAudit, ExtendedStoreFaultModel) {
       print_int(g[0] + g[1] + g[2] + g[3]);
       return 0;
     })", options, vm_options);
-}
-
-TEST(FerrumWrapper, ReportsTimingAndGrowth) {
-  auto program = lower_source(kMixedProgram);
-  const std::size_t before = program.inst_count();
-  const eddi::FerrumReport report = eddi::apply_ferrum(program);
-  EXPECT_EQ(report.static_instructions_before, before);
-  EXPECT_EQ(report.static_instructions_after, program.inst_count());
-  EXPECT_GT(report.static_instructions_after, before);
-  EXPECT_GE(report.seconds, 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "pipeline/pipeline.h"
 #include "vm/vm.h"
 
@@ -93,7 +95,11 @@ TEST(Pipeline, StatsReflectTechnique) {
   auto ferrum = pipeline::build(source, Technique::kFerrum);
   EXPECT_EQ(ferrum.ir_stats.duplicated, 0u);  // pure assembly level
   EXPECT_GT(ferrum.asm_stats.simd_sites, 0u);
-  EXPECT_GT(ferrum.protect_seconds, 0.0);
+  const auto protect = std::find_if(
+      ferrum.pass_seconds.begin(), ferrum.pass_seconds.end(),
+      [](const auto& pass) { return pass.first == "protect"; });
+  ASSERT_NE(protect, ferrum.pass_seconds.end());
+  EXPECT_GT(protect->second, 0.0);
 }
 
 TEST(Pipeline, ProtectedProgramsAreLarger) {

@@ -463,7 +463,6 @@ TEST(PassTiming, PipelineRecordsStagesInOrder) {
                                          "asm-verify",     "protect",
                                          "protect-verify", "protect-check"};
   EXPECT_EQ(stages, want);
-  EXPECT_GE(build.asm_stats.pass_seconds, 0.0);
   EXPECT_TRUE(build.check_report.clean());
   EXPECT_GT(build.check_report.total_sites(), 0u);
 
@@ -476,7 +475,6 @@ TEST(PassTiming, PipelineRecordsStagesInOrder) {
                                             "ir-verify",  "lower",
                                             "asm-verify", "protect-check"};
   EXPECT_EQ(ir_stages, ir_want);
-  EXPECT_GE(ir_build.ir_stats.pass_seconds, 0.0);
 }
 
 }  // namespace
