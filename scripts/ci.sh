@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# ci.sh — run the three ROADMAP verification presets end to end and
+# ci.sh — run the four ROADMAP verification presets end to end and
 # print a pass/fail table. Exit status is non-zero if any preset fails.
 #
 #   tier-1      full ctest suite, default toolchain flags
@@ -7,8 +7,11 @@
 #               harnesses plus the smoke benches
 #   asan-ubsan  combined ASan+UBSan build, UBSan fatal; checker, dataflow
 #               and engine tests
+#   perfbench   perfbench/selftest.py: builds the benchmark program from
+#               this tree into .bench_build/ and runs every workload at
+#               tiny sizes, so an API change that breaks it fails here
 #
-# Usage: scripts/ci.sh [preset ...]     (default: all three)
+# Usage: scripts/ci.sh [preset ...]     (default: all four)
 # Environment: FERRUM_CI_JOBS overrides the build/test parallelism.
 set -u
 
@@ -34,6 +37,7 @@ preset_build_dir() {
     tier-1) echo "build" ;;
     tsan) echo "build-tsan" ;;
     asan-ubsan) echo "build-asan" ;;
+    perfbench) echo ".bench_build" ;;
   esac
 }
 
@@ -54,6 +58,13 @@ run_preset() {
   echo "==> preset $name (build dir: $dir)"
   # The log lives in the build dir, which a fresh checkout lacks.
   mkdir -p "$dir"
+  if [ "$name" = perfbench ]; then
+    if ! python3 perfbench/selftest.py >"$log" 2>&1; then
+      echo "    selftest FAILED (see $log)"
+      return 1
+    fi
+    return 0
+  fi
   # shellcheck disable=SC2086 — args is a deliberate word list
   if ! cmake -B "$dir" -S . $args >"$log" 2>&1; then
     echo "    configure FAILED (see $log)"
@@ -73,13 +84,14 @@ run_preset() {
 }
 
 PRESETS=("$@")
-[ ${#PRESETS[@]} -eq 0 ] && PRESETS=(tier-1 tsan asan-ubsan)
+[ ${#PRESETS[@]} -eq 0 ] && PRESETS=(tier-1 tsan asan-ubsan perfbench)
 
 declare -A STATUS SECONDS_BY
 overall=0
 for preset in "${PRESETS[@]}"; do
   if [ -z "$(preset_build_dir "$preset")" ]; then
-    echo "unknown preset '$preset' (want: tier-1 tsan asan-ubsan)" >&2
+    echo "unknown preset '$preset'" \
+      "(want: tier-1 tsan asan-ubsan perfbench)" >&2
     exit 2
   fi
   start=$(date +%s)
