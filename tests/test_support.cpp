@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "support/env.h"
@@ -239,6 +241,55 @@ TEST(Str, FormatDoubleRoundTrips) {
   for (double value : {0.0, 1.5, -2.25, 3.141592653589793, 1e-12, 1e300}) {
     const std::string text = format_double(value);
     EXPECT_EQ(std::stod(text), value) << text;
+  }
+}
+
+TEST(Support, FormatDoublePinned) {
+  // format_double feeds printed IR, every JSON artifact and cache-key
+  // material, so its bytes are pinned: the shortest "%.*g" precision
+  // that reads back, exponents with at least two digits, and the
+  // printf spellings of the non-finite values.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, const char*> cases[] = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {0.1, "0.1"},
+      {0.5, "0.5"},
+      {1.0, "1"},
+      {2.0, "2"},
+      {-2.5, "-2.5"},
+      {100.0, "1e+02"},
+      {1e15, "1e+15"},
+      {1e16, "1e+16"},
+      {1e17, "1e+17"},
+      {1e21, "1e+21"},
+      {1e22, "1e+22"},
+      {1e100, "1e+100"},
+      {123456789.0, "123456789"},
+      {1.0 / 3.0, "0.3333333333333333"},
+      {2.0 / 3.0, "0.6666666666666666"},
+      {0.1 + 0.2, "0.30000000000000004"},
+      {3.141592653589793, "3.141592653589793"},
+      {1e-5, "1e-05"},
+      {1e-7, "1e-07"},
+      {0.0001, "0.0001"},
+      {1.5e-300, "1.5e-300"},
+      {5e-324, "5e-324"},
+      {2.2250738585072014e-308, "2.2250738585072014e-308"},
+      {1.7976931348623157e308, "1.7976931348623157e+308"},
+      {-1.7976931348623157e308, "-1.7976931348623157e+308"},
+      {9007199254740992.0, "9007199254740992"},
+      {9007199254740994.0, "9007199254740994"},
+      {123456789012345678.0, "1.2345678901234568e+17"},
+      {0.000123456789, "0.000123456789"},
+      {kInf, "inf"},
+      {-kInf, "-inf"},
+      {kNan, "nan"},
+      {-kNan, "-nan"},
+  };
+  for (const auto& [value, text] : cases) {
+    EXPECT_EQ(format_double(value), text);
   }
 }
 
