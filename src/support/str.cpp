@@ -1,8 +1,7 @@
 #include "support/str.h"
 
 #include <cctype>
-#include <cstdio>
-#include <cstring>
+#include <charconv>
 
 namespace ferrum {
 
@@ -52,17 +51,26 @@ bool ends_with(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-std::string format_double(double value) {
+char* format_double(char* out, double value) {
   // Find the shortest precision that round-trips, so printed IR/traces stay
-  // readable without losing determinism.
-  char buffer[64];
+  // readable without losing determinism. to_chars with a precision prints
+  // as "%.*g" does in the C locale, and from_chars reads as strtod does,
+  // so neither depends on LC_NUMERIC.
+  char* end = out;
   for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+    end = std::to_chars(out, out + kMaxDoubleChars, value,
+                        std::chars_format::general, precision)
+              .ptr;
     double parsed = 0.0;
-    std::sscanf(buffer, "%lf", &parsed);
+    std::from_chars(out, end, parsed);
     if (parsed == value) break;
   }
-  return buffer;
+  return end;
+}
+
+std::string format_double(double value) {
+  char buffer[kMaxDoubleChars];
+  return std::string(buffer, format_double(buffer, value));
 }
 
 std::string with_commas(std::uint64_t value) {
