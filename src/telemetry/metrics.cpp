@@ -105,7 +105,7 @@ Json Registry::to_json(bool include_timers) const {
     Json* node = &root;
     std::string_view rest = name;
     for (std::string_view piece : split(rest, '/')) {
-      node = &(*node)[std::string(piece)];
+      node = &(*node)[piece];
     }
     switch (metric.kind) {
       case MetricKind::kCounter:
