@@ -4,7 +4,8 @@
 // for Particlefilter at 2230) and observes the time is linear in the
 // static instruction count — the final benchmark checks that scaling
 // directly on synthetic program sizes. The artifact also times the
-// protect-check verifier (check_program) over the protected builds.
+// protect-check verifier (check_program) and the lint=json export (the
+// four static-analysis converters and dump) over the 32 scale-1 builds.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +16,9 @@
 #include "backend/backend.h"
 #include "bench_util.h"
 #include "check/check.h"
+#include "check/flow.h"
+#include "check/prune.h"
+#include "check/sections.h"
 #include "eddi/asm_protect.h"
 #include "frontend/codegen.h"
 #include "pipeline/pipeline.h"
@@ -80,10 +84,8 @@ void BM_FerrumPassScaling(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(original.inst_count()));
 }
 
-/// One-thread passes of check_program over the 8 workloads x 4 techniques
-/// at scale 1: the median and the fastest pass, in seconds.
-telemetry::Json check_program_seconds() {
-  constexpr int kReps = 5;
+/// The 8 workloads x 4 techniques at scale 1.
+std::vector<masm::AsmProgram> scale1_programs() {
   std::vector<masm::AsmProgram> programs;
   for (const auto& w : workloads::all()) {
     for (const auto technique :
@@ -92,29 +94,79 @@ telemetry::Json check_program_seconds() {
       programs.push_back(pipeline::build(w.source, technique).program);
     }
   }
+  return programs;
+}
+
+/// One-thread passes of `pass` over `programs` programs: the median and
+/// the fastest pass, in seconds, printed and returned as a wallclock row.
+template <typename Pass>
+telemetry::Json time_passes(const char* name, std::size_t programs,
+                            Pass&& pass) {
+  constexpr int kReps = 5;
   std::vector<double> seconds;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    std::uint64_t sites = 0;
-    for (const auto& program : programs) {
-      sites += check::check_program(program).total_sites();
-    }
+    const std::uint64_t result = pass();
     seconds.push_back(std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count());
-    benchmark::DoNotOptimize(sites);
+    benchmark::DoNotOptimize(result);
   }
   std::sort(seconds.begin(), seconds.end());
   telemetry::Json row = telemetry::Json::object();
   row["median_seconds"] = seconds[kReps / 2];
   row["best_seconds"] = seconds.front();
   row["reps"] = kReps;
-  row["programs"] = static_cast<std::uint64_t>(programs.size());
-  std::printf("check_program over %zu programs: %.1f ms median, %.1f ms "
-              "best of %d passes\n",
-              programs.size(), seconds[kReps / 2] * 1e3,
+  row["programs"] = static_cast<std::uint64_t>(programs);
+  std::printf("%s over %zu programs: %.1f ms median, %.1f ms best of %d "
+              "passes\n",
+              name, programs, seconds[kReps / 2] * 1e3,
               seconds.front() * 1e3, kReps);
   return row;
+}
+
+telemetry::Json check_program_seconds(
+    const std::vector<masm::AsmProgram>& programs) {
+  return time_passes("check_program", programs.size(), [&] {
+    std::uint64_t sites = 0;
+    for (const auto& program : programs) {
+      sites += check::check_program(program).total_sites();
+    }
+    return sites;
+  });
+}
+
+/// The `ferrumc lint --lint=json` export alone: the four converters and
+/// dump(), with check, prune, sections and flow run once outside the
+/// timer.
+telemetry::Json lint_json_seconds(
+    const std::vector<masm::AsmProgram>& programs) {
+  struct Analyses {
+    check::CheckReport check;
+    check::prune::PruneReport prune;
+    check::sections::SectionMap sections;
+    check::flow::FlowReport flow;
+  };
+  std::vector<Analyses> analyses;
+  for (const auto& program : programs) {
+    analyses.push_back({check::check_program(program),
+                        check::prune::prune_program(program),
+                        check::sections::build_sections(program),
+                        check::flow::flow_program(program)});
+  }
+  return time_passes("lint=json export", programs.size(), [&] {
+    std::uint64_t bytes = 0;
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+      const Analyses& a = analyses[p];
+      telemetry::Json json = check::to_json(a.check);
+      json["prune"] = check::prune::to_json(a.prune, programs[p]);
+      json["sections"] =
+          check::sections::to_json(a.sections, programs[p], a.check);
+      json["flow"] = check::flow::to_json(a.flow, programs[p]);
+      bytes += json.dump().size();
+    }
+    return bytes;
+  });
 }
 
 }  // namespace
@@ -123,7 +175,7 @@ int main(int argc, char** argv) {
   // The telemetry artifact is written up front (google-benchmark's own
   // timing output stays on stdout): one FERRUM pass per workload, static
   // footprint + pass stats under `metrics`, pass wall time and the
-  // check_program passes under `wallclock`.
+  // check_program and lint_json passes under `wallclock`.
   {
     benchutil::BenchReport report("bench_pass_time");
     for (const auto& w : workloads::all()) {
@@ -145,7 +197,9 @@ int main(int argc, char** argv) {
       report.metrics()["workloads"][w.name] = row;
       report.wallclock()["pass_seconds"][w.name] = seconds;
     }
-    report.wallclock()["check_program"] = check_program_seconds();
+    const std::vector<masm::AsmProgram> programs = scale1_programs();
+    report.wallclock()["check_program"] = check_program_seconds(programs);
+    report.wallclock()["lint_json"] = lint_json_seconds(programs);
     report.write();
   }
 

@@ -267,16 +267,17 @@ void check_bench_vm(const Json& artifact) {
   }
 }
 
-/// Schema check on bench_pass_time's check_program row: the median and
-/// fastest of its passes and their count.
+/// Schema check on bench_pass_time's check_program and lint_json rows:
+/// the median and fastest of their passes and their count.
 void check_pass_time(const Json& artifact) {
   const Json* wallclock = artifact.find("wallclock");
-  const Json* row =
-      wallclock != nullptr ? wallclock->find("check_program") : nullptr;
-  for (const char* key : {"median_seconds", "best_seconds", "reps"}) {
-    if (row == nullptr || row->find(key) == nullptr) {
-      fail(std::string("bench_pass_time wallclock lacks check_program.") +
-           key);
+  for (const char* name : {"check_program", "lint_json"}) {
+    const Json* row = wallclock != nullptr ? wallclock->find(name) : nullptr;
+    for (const char* key : {"median_seconds", "best_seconds", "reps"}) {
+      if (row == nullptr || row->find(key) == nullptr) {
+        fail(std::string("bench_pass_time wallclock lacks ") + name + "." +
+             key);
+      }
     }
   }
 }
