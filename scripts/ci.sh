@@ -5,8 +5,8 @@
 #   tier-1      full ctest suite, default toolchain flags
 #   tsan        ThreadSanitizer build; the parallel/service/sections
 #               harnesses plus the smoke benches
-#   asan-ubsan  combined ASan+UBSan build, UBSan fatal; checker, dataflow
-#               and engine tests
+#   asan-ubsan  combined ASan+UBSan build, UBSan fatal; checker, dataflow,
+#               engine and JSON/service tests
 #   perfbench   perfbench/selftest.py: builds the benchmark program from
 #               this tree into .bench_build/ and runs every workload at
 #               tiny sizes, so an API change that breaks it fails here
@@ -21,7 +21,7 @@ JOBS="${FERRUM_CI_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 # Preset table: name | build dir | extra cmake args | ctest args.
 # The regexes mirror ROADMAP.md verbatim — update both together.
 TSAN_TESTS='bench_smoke|check_smoke|prune_smoke|test_parallel|test_sections|service_smoke'
-ASAN_TESTS='test_check|test_engine|test_prune|test_vm|test_vm_flags|test_timing|test_goldens|test_flow|test_sections'
+ASAN_TESTS='test_check|test_engine|test_prune|test_vm|test_vm_flags|test_timing|test_goldens|test_flow|test_sections|test_telemetry|test_service'
 
 preset_cmake_args() {
   case "$1" in
