@@ -23,6 +23,7 @@
 #include "masm/parser.h"
 #include "masm/verifier.h"
 #include "pipeline/pipeline.h"
+#include "support/hash.h"
 #include "support/rng.h"
 #include "support/source_location.h"
 #include "telemetry/export.h"
@@ -1815,6 +1816,238 @@ TEST(EngineEquivalence, StrideRejoinJobsCross) {
   // Rejoin off with checkpoints: the remaining corner.
   options.vm.golden_rejoin = false;
   EXPECT_EQ(truth, campaign_json(build.program, options, 64, 2));
+}
+
+// ------------------------------------------------------------- counters --
+//
+// The loop's pc, step and site counters are read off its hot path at a
+// pause (fork points, captures, rejoin compares), at every exit, by the
+// site observers, at a fault's landing and after a helper's trap unwinds.
+// Both loop instances expand the same bookkeeping, so comparing them
+// cannot show a value both get wrong; the pin below records every value
+// read at those points instead.
+
+/// Hashes every VmResult field the counters reach, the site sinks'
+/// contents and captured checkpoints' counters, one record at a time.
+struct CounterPin {
+  Sha256 sha;
+  std::vector<std::int32_t> pcs;
+  std::vector<std::uint64_t> digests;
+  /// A pseudo-random live mask per flat pc, so that each digest also
+  /// depends on the pc it was taken at.
+  std::vector<std::uint64_t> masks;
+  std::uint64_t forks = 0;
+
+  void result(const std::string& label, const vm::VmResult& r) {
+    std::string text = label + ": status " +
+                       std::to_string(static_cast<int>(r.status)) +
+                       " steps " + std::to_string(r.steps) + " sites " +
+                       std::to_string(r.fi_sites) + " injected " +
+                       std::to_string(r.fault_injected) + " at step " +
+                       std::to_string(r.fault_step);
+    if (r.fault_landing.has_value()) {
+      const vm::FaultLanding& l = *r.fault_landing;
+      text += " landing " + std::to_string(static_cast<int>(l.kind)) + " " +
+              std::to_string(static_cast<int>(l.origin)) + " " +
+              std::to_string(static_cast<int>(l.op)) + " " + l.function +
+              " " + std::to_string(l.block) + " " + std::to_string(l.inst);
+    }
+    text += " return " + std::to_string(r.return_value) + " rejoined " +
+            std::to_string(r.rejoined) + " at " +
+            std::to_string(r.rejoin_site) + " output";
+    for (std::uint64_t value : r.output) text += " " + std::to_string(value);
+    sha.update(text + "\n");
+  }
+
+  void attach(vm::Engine& engine, bool on) {
+    engine.set_site_pc_sink(on ? &pcs : nullptr);
+    engine.set_state_digest_sink(on ? &digests : nullptr, &masks);
+  }
+
+  /// Hashes and clears the site-pc and state-digest sinks.
+  void sinks(const std::string& label) {
+    sha.update(label + ": " + std::to_string(pcs.size()) + " sites\n");
+    sha.update(pcs.data(), pcs.size() * sizeof(pcs[0]));
+    sha.update(digests.data(), digests.size() * sizeof(digests[0]));
+    pcs.clear();
+    digests.clear();
+  }
+
+  void checkpoints(const std::string& label, const vm::CheckpointSet& ckpts) {
+    std::string text = label + ": checkpoints";
+    if (!ckpts.empty()) {
+      for (const vm::Checkpoint* c = &ckpts.nearest_at_or_before(0);
+           c != nullptr; c = ckpts.next_after(c->fi_sites)) {
+        text += " " + std::to_string(c->pc) + "/" + std::to_string(c->steps) +
+                "/" + std::to_string(c->fi_sites);
+      }
+    }
+    sha.update(text + "\n");
+  }
+
+  /// Captures `program`'s golden run at `stride`, then runs the plans
+  /// cold, from the checkpoints (where rejoin may end them) and as one
+  /// walk over the checkpoints, and the plans' walk again under each
+  /// step budget. With `observe`, the site sinks ride along on the
+  /// capture and on every cold run (one per plan, one profiled per four
+  /// plans, one fault-free per budget); otherwise every third plan runs
+  /// cold, without them.
+  void program(const std::string& name, const masm::AsmProgram& program,
+               std::uint64_t stride,
+               const std::vector<std::vector<vm::FaultSpec>>& plans,
+               const std::vector<std::uint64_t>& budgets, bool observe) {
+    const vm::PredecodedProgram decoded(program);
+    masks.resize(decoded.code().size());
+    for (std::size_t pc = 0; pc < masks.size(); ++pc) {
+      masks[pc] = (pc + 1) * 0x9e3779b97f4a7c15ull;
+    }
+    vm::VmOptions options;
+    const vm::VmResult golden = vm::run(program, options);
+    options.max_steps = fault::faulty_step_budget(golden.steps);
+    vm::Engine engine(decoded, options);
+    vm::CheckpointSet ckpts;
+    attach(engine, observe);
+    result(name + " capture", engine.run_capturing(options, stride, ckpts));
+    sinks(name + " capture");
+    checkpoints(name, ckpts);
+
+    vm::VmOptions profiled = options;
+    profiled.profile = true;
+    std::vector<vm::Engine::Trial> lanes;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const std::string label = name + " plan " + std::to_string(i);
+      const std::vector<vm::FaultSpec>& plan = plans[i];
+      if (observe || i % 3 == 0) {
+        result(label + " cold", engine.run(options, plan.data(), plan.size()));
+        sinks(label + " cold");
+      }
+      if (observe && i % 4 == 0) {
+        result(label + " hooked",
+               engine.run(profiled, plan.data(), plan.size()));
+        sinks(label + " hooked");
+      }
+      attach(engine, false);
+      result(label + " warm",
+             engine.run_from(ckpts, options, plan.data(), plan.size()));
+      attach(engine, observe);
+      lanes.push_back({plan.data(), plan.size()});
+    }
+    attach(engine, false);
+    const std::uint64_t forks_before = engine.stats().forks;
+    const std::vector<vm::VmResult> walked =
+        walk_all(engine, &ckpts, options, lanes);
+    forks += engine.stats().forks - forks_before;
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      result(name + " walked " + std::to_string(i), walked[i]);
+    }
+    for (std::uint64_t budget : budgets) {
+      vm::VmOptions limited = options;
+      limited.max_steps = budget;
+      const std::string label = name + " budget " + std::to_string(budget);
+      if (observe) {
+        attach(engine, true);
+        result(label, engine.run(limited, nullptr, 0));
+        sinks(label);
+        attach(engine, false);
+      }
+      const std::vector<vm::VmResult> limited_walk =
+          walk_all(engine, &ckpts, limited, lanes);
+      for (std::size_t i = 0; i < limited_walk.size(); ++i) {
+        result(label + " walked " + std::to_string(i), limited_walk[i]);
+      }
+    }
+  }
+};
+
+/// Small programs that end in each trap a step can raise: inside a
+/// handler (out-of-bounds load and store, divide by zero, invalid jump
+/// targets after a fused cmp, a test and a jmp, an invalid return
+/// address) and in the loop itself (the end-of-function sentinel).
+constexpr const char* kTrapPrograms[] = {
+    "main:\n.entry:\n\tmovq\t$3, %rax\n\tmovq\t$5, %rcx\n"
+    "\taddq\t%rax, %rcx\n\tmovq\t0(%rcx), %rdx\n\tret\n",
+    "main:\n.entry:\n\tmovq\t$3, %rax\n\tmovq\t$5, %rcx\n"
+    "\taddq\t%rax, %rcx\n\tmovq\t%rax, 0(%rcx)\n\tret\n",
+    "main:\n.entry:\n\tmovq\t$7, %rax\n\tmovq\t$0, %rcx\n"
+    "\tidivq\t%rcx, %rax\n\tret\n",
+    "main:\n.entry:\n\tmovq\t$1, %rax\n\tcmpq\t$1, %rax\n"
+    "\tje\t.nowhere\n\tret\n",
+    "main:\n.entry:\n\tmovq\t$1, %rax\n\ttestq\t%rax, %rax\n"
+    "\tjne\t.nowhere\n\tret\n",
+    "main:\n.entry:\n\tmovq\t$1, %rax\n\tjmp\t.nowhere\n\tret\n",
+    "main:\n.entry:\n\tmovq\t$5, %rax\n\tpushq\t%rax\n\tret\n",
+    "main:\n.entry:\n\tmovq\t$1, %rax\n\taddq\t$2, %rax\n",
+};
+
+TEST(Engine, CountersPinnedAtEveryExit) {
+  // Every exit a run can take: halt, detection, the step budget, the
+  // end-of-function sentinel, kTagInvalid and the traps helpers throw,
+  // reached cold, from checkpoints and in walks whose lanes fork. The
+  // site sinks observe the fuzz programs, bfs and the trap programs. A
+  // deliberate change to the fault model or to step counting updates
+  // the digest.
+  CounterPin pin;
+  const auto plans_of = [](std::uint64_t fi_sites) {
+    std::vector<std::vector<vm::FaultSpec>> plans;
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      const std::uint64_t site = fi_sites * k / 4;
+      plans.push_back({{site, 3, 1}});
+      plans.push_back({{site + 1, 40, 2}});  // forks off the lane before
+    }
+    plans.push_back({{fi_sites / 3, 1, 1}, {fi_sites / 2, 62, 1}});
+    plans.push_back({{fi_sites + 5, 0, 1}});
+    return plans;
+  };
+  struct Source {
+    std::string name;
+    std::string text;
+    bool observe;
+  };
+  std::vector<Source> sources;
+  for (const auto& w : workloads::all()) {
+    sources.push_back({w.name, w.source, w.name == "bfs"});
+  }
+  for (std::uint64_t seed : {3, 4}) {
+    sources.push_back({"fuzz " + std::to_string(seed),
+                       fuzz_program(seed * 0x9e3779b97f4a7c15ull), true});
+  }
+  for (const Source& source : sources) {
+    for (Technique technique : kAllTechniques) {
+      const auto build = pipeline::build(source.text, technique);
+      const vm::VmResult golden = vm::run(build.program);
+      ASSERT_TRUE(golden.ok()) << source.name;
+      pin.program(source.name + " / " + pipeline::technique_name(technique),
+                  build.program, golden.fi_sites / 6 + 1,
+                  plans_of(golden.fi_sites),
+                  {golden.steps / 3, golden.steps - 1, golden.steps},
+                  source.observe);
+    }
+  }
+  std::vector<std::pair<std::string, masm::AsmProgram>> traps;
+  for (const char* text : kTrapPrograms) {
+    DiagEngine diags;
+    traps.emplace_back(text, masm::parse_program(text, diags));
+    ASSERT_FALSE(diags.has_errors()) << text << diags.render();
+  }
+  DiagEngine diags;
+  traps.emplace_back("detect", masm::parse_program(kDetectAfterSixAsm, diags));
+  ASSERT_FALSE(diags.has_errors()) << diags.render();
+  traps.emplace_back("width 2", width_program(2));
+  for (const auto& [name, program] : traps) {
+    const vm::VmResult golden = vm::run(program);
+    std::vector<std::vector<vm::FaultSpec>> plans;
+    for (std::uint64_t site = 0; site <= golden.fi_sites; ++site) {
+      for (int bit : {0, 2, 40}) plans.push_back({{site, bit, 1}});
+    }
+    std::vector<std::uint64_t> budgets;
+    for (std::uint64_t budget = 1; budget <= golden.steps; ++budget) {
+      budgets.push_back(budget);
+    }
+    pin.program(name, program, 1, plans, budgets, true);
+  }
+  EXPECT_GT(pin.forks, 0u);
+  EXPECT_EQ(pin.sha.hex_digest(),
+            "de981c9be14355b49df61fae1646045dfe74cb94d158a59d095ece335dd3cbb9");
 }
 
 }  // namespace
