@@ -152,8 +152,9 @@ enum class At : std::uint8_t { kR, kI, kM, kX };
 
 // The operand forms (see kFormFirst), as X(name, handler<arguments>).
 // Width variants are listed 1, 4, 8 bytes (or 4, 8), the order decode
-// relies on. The fused list repeats the cmp forms for a cmp whose next
-// instruction is a jcc.
+// relies on. The jcc form is listed as J(name, handler): its handler also
+// takes the loop's next pc. The fused list repeats the cmp forms for a
+// cmp whose next instruction is a jcc.
 #define FERRUM_W148(X, name, handler, ...) \
   X(name##1, handler<__VA_ARGS__, 1>)      \
   X(name##4, handler<__VA_ARGS__, 4>)      \
@@ -170,7 +171,7 @@ enum class At : std::uint8_t { kR, kI, kM, kX };
   FERRUM_W148(X, name##RM, form_cmp, At::kR, At::kM) \
   FERRUM_W148(X, name##IM, form_cmp, At::kI, At::kM) \
   FERRUM_W148(X, name##MR, form_cmp, At::kM, At::kR)
-#define FERRUM_SINGLE_FORMS(X)                                 \
+#define FERRUM_SINGLE_FORMS(X, J)                              \
   FERRUM_W148(X, MovRR, form_mov, At::kR, At::kR)              \
   FERRUM_W148(X, MovIR, form_mov, At::kI, At::kR)              \
   FERRUM_W148(X, MovMR, form_mov, At::kM, At::kR)              \
@@ -202,7 +203,7 @@ enum class At : std::uint8_t { kR, kI, kM, kX };
   FERRUM_CMP_FORMS(X, Cmp)                                     \
   FERRUM_W148(X, TestRR, form_test, At::kR)                    \
   FERRUM_W148(X, TestIR, form_test, At::kI)                    \
-  X(Jcc, form_jcc)                                             \
+  J(Jcc, form_jcc)                                             \
   X(SetccR, form_setcc<At::kR>)                                \
   X(SetccM, form_setcc<At::kM>)                                \
   X(MovsdXX, form_movsd<At::kX, At::kX>)                       \
@@ -239,7 +240,7 @@ enum class At : std::uint8_t { kR, kI, kM, kX };
 enum : int {
   kFormBefore = kFormFirst - 1,
 #define FERRUM_FORM_ENUM(name, ...) kForm##name,
-  FERRUM_SINGLE_FORMS(FERRUM_FORM_ENUM)
+  FERRUM_SINGLE_FORMS(FERRUM_FORM_ENUM, FERRUM_FORM_ENUM)
   FERRUM_FUSED_FORMS(FERRUM_FORM_ENUM)
 #undef FERRUM_FORM_ENUM
   kFormEnd,
@@ -253,7 +254,7 @@ static_assert(kFormCmpJccRR1 - kFormCmpRR1 == kFormCmpJccMR8 - kFormCmpMR8,
 
 constexpr const char* kFormNames[] = {
 #define FERRUM_FORM_NAME(name, ...) #name,
-    FERRUM_SINGLE_FORMS(FERRUM_FORM_NAME)
+    FERRUM_SINGLE_FORMS(FERRUM_FORM_NAME, FERRUM_FORM_NAME)
     FERRUM_FUSED_FORMS(FERRUM_FORM_NAME)
 #undef FERRUM_FORM_NAME
 };
@@ -1841,9 +1842,9 @@ class Engine::Impl {
   }
 
   // Per-opcode bodies, reached from the loop's handlers. Control
-  // transfers set next_pc_; the default next_pc_ = pc_ + 1
-  // covers both straight-line flow and the old interpreter's free
-  // fall-through into the next block.
+  // transfers set the loop's next_pc; its default, pc + 1, covers both
+  // straight-line flow and the old interpreter's free fall-through into
+  // the next block.
 
   FERRUM_INLINE void exec_mov(const AsmInst& inst, const DecodedInst& d) {
     const std::uint64_t value = read_operand(inst.ops[0]);
@@ -1905,23 +1906,26 @@ class Engine::Impl {
     }
   }
 
-  FERRUM_INLINE void exec_jcc(const AsmInst& inst, const DecodedInst& d) {
+  FERRUM_INLINE void exec_jcc(const AsmInst& inst, const DecodedInst& d,
+                              std::int32_t& next_pc) {
     bool taken = eval_cond(inst.cc);
     if (fi_site(FaultKind::kBranchDecision, inst, d) != nullptr) {
       taken = !taken;
     }
     if (taken) {
       if (d.target_pc < 0) raise_trap(ExitStatus::kTrapInvalid);
-      next_pc_ = d.target_pc;
+      next_pc = d.target_pc;
     }
   }
 
-  FERRUM_INLINE void exec_jmp(const AsmInst&, const DecodedInst& d) {
+  FERRUM_INLINE void exec_jmp(const AsmInst&, const DecodedInst& d,
+                              std::int32_t& next_pc) {
     if (d.target_pc < 0) raise_trap(ExitStatus::kTrapInvalid);
-    next_pc_ = d.target_pc;
+    next_pc = d.target_pc;
   }
 
-  FERRUM_INLINE void exec_ret(const AsmInst&, const DecodedInst&) {
+  FERRUM_INLINE void exec_ret(const AsmInst&, const DecodedInst&,
+                              std::int32_t& next_pc) {
     const std::uint64_t addr = pop64();
     if (addr == kExitSentinel) {
       halted_ = true;
@@ -1941,8 +1945,8 @@ class Engine::Impl {
     // An iidx past the block's end fell through to the next block in
     // the old interpreter; the clamp to the next block's base pc (the
     // sentinel when bidx is the last block) reproduces that exactly.
-    next_pc_ = std::min(program_.block_pc(fidx, bidx) + iidx,
-                        program_.block_pc(fidx, bidx + 1));
+    next_pc = std::min(program_.block_pc(fidx, bidx) + iidx,
+                       program_.block_pc(fidx, bidx + 1));
   }
 
   FERRUM_INLINE void exec_movsd(const AsmInst& inst, const DecodedInst& d) {
@@ -2078,13 +2082,21 @@ class Engine::Impl {
   /// every handler ends in its own indirect jump. Fused tags (cmp+jcc,
   /// mov+alu) execute both halves under one dispatch with full
   /// per-instruction bookkeeping: the step counter is bumped and checked
-  /// per half, and pc_ is advanced between halves so FI-site pc sinks
+  /// per half, and the pc is advanced between halves so FI-site pc sinks
   /// and fault landings see exactly the unfused stream. `stop_at_sites`
   /// pauses at the first instruction boundary where fi_sites_ reaches
   /// that count, including between the halves of a fused pair (resuming
   /// there dispatches the second half singly via its own tag): the walk's
   /// fork points, checkpoint capture and golden-rejoin comparisons all
   /// pause here. kNoPause runs to halt or trap.
+  ///
+  /// The pc, the next pc and the step count live in locals for the whole
+  /// run, the only copy the loop reads: as members, every store to gpr_
+  /// or the arena might alias them, so each step would reload them
+  /// through `this`. pc_ and steps_ are written where code off the hot
+  /// path reads them: both at the start of each step (for the site
+  /// observers, a fault's landing and the traps helpers throw, after
+  /// which collect() reads steps_), pc_ at a pause and at the halt.
   ///
   /// The kHooks instance carries the per-step introspection: each step
   /// (each fused half) is profiled and traced once it is counted, and
@@ -2136,33 +2148,43 @@ class Engine::Impl {
         &&lbl_cmp_jcc,     // kTagCmpJcc
         &&lbl_mov_alu,     // kTagMovAlu
 #define FERRUM_FORM_ADDRESS(name, ...) &&lbl_form_##name,
-        FERRUM_SINGLE_FORMS(FERRUM_FORM_ADDRESS)
+        FERRUM_SINGLE_FORMS(FERRUM_FORM_ADDRESS, FERRUM_FORM_ADDRESS)
         FERRUM_FUSED_FORMS(FERRUM_FORM_ADDRESS)
 #undef FERRUM_FORM_ADDRESS
     };
     const DecodedInst* const code = code_;
     const std::uint64_t max_steps = options_->max_steps;
+    std::int32_t pc = pc_;
+    std::int32_t next_pc = pc;
+    std::uint64_t steps = steps_;
     const DecodedInst* d;
 
 // Fetch + per-instruction bookkeeping. The sentinel tag dispatches to a
 // handler without FERRUM_STEP, so a sentinel traps without counting a
-// step. FERRUM_PAUSE is the instruction-boundary pause check — one
+// step. FERRUM_STEP stores pc_ and steps_ for the code the step may
+// reach off the hot path; they are stores only, so no step waits on
+// one. FERRUM_PAUSE is the instruction-boundary pause check — one
 // predictable compare per instruction (stop_at_sites is kNoPause on
 // runs that neither fork, capture nor rejoin, so it never fires there).
-#define FERRUM_PAUSE() \
-  if (fi_sites_ >= stop_at_sites) return LoopExit{LoopExit::kPaused}
-#define FERRUM_STEP()                                                   \
-  d = code + pc_;                                                       \
-  if (++steps_ > max_steps) return trapped(ExitStatus::kTrapSteps);     \
-  if constexpr (kHooks) hook_step(*d);                                  \
-  next_pc_ = pc_ + 1
+#define FERRUM_PAUSE()                  \
+  if (fi_sites_ >= stop_at_sites) {     \
+    pc_ = pc;                           \
+    return LoopExit{LoopExit::kPaused}; \
+  }
+#define FERRUM_STEP()                                               \
+  d = code + pc;                                                    \
+  pc_ = pc;                                                         \
+  steps_ = ++steps;                                                 \
+  if (steps > max_steps) return trapped(ExitStatus::kTrapSteps);    \
+  if constexpr (kHooks) hook_step(*d);                              \
+  next_pc = pc + 1
 #define FERRUM_TIME() \
   if constexpr (kHooks) time_step(*d)
 // The hooked instance dispatches on the per-opcode tag, the bare one on
 // the operand form.
-#define FERRUM_DISPATCH() goto* kJump[kHooks ? code[pc_].tag : code[pc_].form]
+#define FERRUM_DISPATCH() goto* kJump[kHooks ? code[pc].tag : code[pc].form]
 #define FERRUM_JUMP() \
-  pc_ = next_pc_;     \
+  pc = next_pc;       \
   FERRUM_PAUSE();     \
   FERRUM_DISPATCH()
 #define FERRUM_NEXT() \
@@ -2214,22 +2236,22 @@ class Engine::Impl {
     FERRUM_NEXT();
   lbl_jcc:
     FERRUM_STEP();
-    exec_jcc(*d->inst, *d);
+    exec_jcc(*d->inst, *d, next_pc);
     FERRUM_NEXT();
   lbl_jmp:
     FERRUM_STEP();
-    exec_jmp(*d->inst, *d);
+    exec_jmp(*d->inst, *d, next_pc);
     FERRUM_NEXT();
   lbl_call:
     FERRUM_STEP();
-    exec_call(*d->inst, *d);
+    exec_call(*d->inst, *d, next_pc);
     FERRUM_NEXT();
   lbl_ret:
     FERRUM_STEP();
-    exec_ret(*d->inst, *d);
+    exec_ret(*d->inst, *d, next_pc);
     FERRUM_TIME();
     if (halted_) {
-      pc_ = next_pc_;
+      pc_ = next_pc;
       return LoopExit{LoopExit::kHalted};
     }
     FERRUM_JUMP();
@@ -2282,6 +2304,7 @@ class Engine::Impl {
     return trapped(ExitStatus::kDetected);
   lbl_sentinel:
     // End-of-function sentinel: trap without counting a step.
+    pc_ = pc;
     return trapped(ExitStatus::kTrapInvalid);
   lbl_invalid:
     FERRUM_STEP();
@@ -2294,16 +2317,16 @@ class Engine::Impl {
     FERRUM_STEP();
     exec_cmp(*d->inst, *d);
     FERRUM_TIME();
-    pc_ = next_pc_;
+    pc = next_pc;
     FERRUM_PAUSE();
     FERRUM_STEP();
-    exec_jcc(*d->inst, *d);
+    exec_jcc(*d->inst, *d, next_pc);
     FERRUM_NEXT();
   lbl_mov_alu:
     FERRUM_STEP();
     exec_mov(*d->inst, *d);
     FERRUM_TIME();
-    pc_ = next_pc_;
+    pc = next_pc;
     FERRUM_PAUSE();
     FERRUM_STEP();
     exec_alu(*d->inst, *d);
@@ -2311,15 +2334,18 @@ class Engine::Impl {
 
     // Operand-form handlers: only the bare instance dispatches to them.
     // The fused ones run a cmp form and its jcc half like lbl_cmp_jcc.
-#define FERRUM_FORM_LABEL(name, ...)  \
+#define FERRUM_FORM_STEP(name, ...)   \
   lbl_form_##name:                    \
     if constexpr (kHooks) {           \
       __builtin_unreachable();        \
     } else {                          \
       FERRUM_STEP();                  \
-      __VA_ARGS__(*d);                \
+      __VA_ARGS__;                    \
       FERRUM_NEXT();                  \
     }
+#define FERRUM_FORM_LABEL(name, ...) FERRUM_FORM_STEP(name, __VA_ARGS__(*d))
+#define FERRUM_JUMP_LABEL(name, ...) \
+  FERRUM_FORM_STEP(name, __VA_ARGS__(*d, next_pc))
 #define FERRUM_FUSED_LABEL(name, ...) \
   lbl_form_##name:                    \
     if constexpr (kHooks) {           \
@@ -2327,15 +2353,17 @@ class Engine::Impl {
     } else {                          \
       FERRUM_STEP();                  \
       __VA_ARGS__(*d);                \
-      pc_ = next_pc_;                 \
+      pc = next_pc;                   \
       FERRUM_PAUSE();                 \
       FERRUM_STEP();                  \
-      form_jcc(*d);                   \
+      form_jcc(*d, next_pc);          \
       FERRUM_NEXT();                  \
     }
-    FERRUM_SINGLE_FORMS(FERRUM_FORM_LABEL)
+    FERRUM_SINGLE_FORMS(FERRUM_FORM_LABEL, FERRUM_JUMP_LABEL)
     FERRUM_FUSED_FORMS(FERRUM_FUSED_LABEL)
+#undef FERRUM_FORM_STEP
 #undef FERRUM_FORM_LABEL
+#undef FERRUM_JUMP_LABEL
 #undef FERRUM_FUSED_LABEL
 
 #undef FERRUM_PAUSE
@@ -2461,7 +2489,8 @@ class Engine::Impl {
     return result;
   }
 
-  FERRUM_INLINE void exec_call(const AsmInst& inst, const DecodedInst& d) {
+  FERRUM_INLINE void exec_call(const AsmInst& inst, const DecodedInst& d,
+                               std::int32_t& next_pc) {
     if (d.callee == kCalleePrintInt) {
       emit_output(gpr_[static_cast<int>(Gpr::kRdi)]);
       return;
@@ -2480,7 +2509,7 @@ class Engine::Impl {
     if (rsp <= heap_end_) raise_trap(ExitStatus::kTrapMemory);
     store_faultable(rsp, 8, ret_addr, inst, d);
     if (touch_track_ && fault_injected_) touched_fns_ |= fn_bit(d.callee);
-    next_pc_ = program_.entry_pc(d.callee);
+    next_pc = program_.entry_pc(d.callee);
   }
 
   // ---------------------------------------------------- operand forms --
@@ -2609,14 +2638,14 @@ class Engine::Impl {
     write_flags_faultable(flags_of_result(a & b, kWidth), *d.inst, d);
   }
 
-  FERRUM_INLINE void form_jcc(const DecodedInst& d) {
+  FERRUM_INLINE void form_jcc(const DecodedInst& d, std::int32_t& next_pc) {
     bool taken = form_cond(d);
     if (fi_site(FaultKind::kBranchDecision, *d.inst, d) != nullptr) {
       taken = !taken;
     }
     if (taken) {
       if (d.target_pc < 0) raise_trap(ExitStatus::kTrapInvalid);
-      next_pc_ = d.target_pc;
+      next_pc = d.target_pc;
     }
   }
 
@@ -2781,8 +2810,9 @@ class Engine::Impl {
   std::uint64_t heap_end_ = 0;
   bool layout_ok_ = true;
 
+  /// The position and step count where code outside the loop reads
+  /// them; the loop's locals are the copy it runs on (see loop()).
   std::int32_t pc_ = 0;
-  std::int32_t next_pc_ = 0;
   bool halted_ = false;
   /// The set a golden run is capturing into (run_capturing only).
   CheckpointSet* capture_ = nullptr;
