@@ -410,32 +410,60 @@ class JsonParser {
         case 'b': out.push_back('\b'); break;
         case 'f': out.push_back('\f'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
+          std::uint32_t code = 0;
+          if (!hex4(code)) return false;
+          // A high surrogate must be followed by an escaped low one; the
+          // pair is one code point. A lone or reversed surrogate names
+          // no character.
+          if (code >= 0xdc00 && code <= 0xdfff) return false;
+          if (code >= 0xd800 && code <= 0xdbff) {
+            std::uint32_t low = 0;
+            if (!consume_word("\\u") || !hex4(low) || low < 0xdc00 ||
+                low > 0xdfff) {
+              return false;
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
           }
-          // Only the escapes the writer emits (< 0x20) are mapped back
-          // exactly; other code points are UTF-8 encoded.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          } else {
-            out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          }
+          append_utf8(out, code);
           break;
         }
         default: return false;
       }
+    }
+  }
+
+  /// Four hex digits into `code`.
+  bool hex4(std::uint32_t& code) {
+    if (pos_ + 4 > text_.size()) return false;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= static_cast<std::uint32_t>(h - '0');
+      else if (h >= 'a' && h <= 'f') code |= static_cast<std::uint32_t>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') code |= static_cast<std::uint32_t>(h - 'A' + 10);
+      else return false;
+    }
+    return true;
+  }
+
+  /// Code point `code` (not a surrogate) as UTF-8. Only the escapes the
+  /// writer emits (< 0x20) come back byte for byte; it writes every
+  /// other character raw.
+  static void append_utf8(std::string& out, std::uint32_t code) {
+    if (code < 0x80) {
+      out.push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out.push_back(static_cast<char>(0xc0 | (code >> 6)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else if (code < 0x10000) {
+      out.push_back(static_cast<char>(0xe0 | (code >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else {
+      out.push_back(static_cast<char>(0xf0 | (code >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
     }
   }
 

@@ -131,12 +131,14 @@ class Json {
   /// (arbitrary whitespace, any key order; of equal keys the last one
   /// wins). Returns nullopt on any syntax error (a number outside
   /// RFC 8259's grammar, such as "+1", ".5", "1." or "01"; a raw byte
-  /// below 0x20 inside a string), trailing garbage or nesting past
-  /// kMaxDepth. Integers that fit int64/uint64 parse as kInt/kUint,
-  /// everything else numeric as kDouble; a number past double's range,
-  /// or one that underflows to zero, does not parse. An object's members
-  /// are sorted once, not inserted one at a time, so keys out of order
-  /// cost one sort.
+  /// below 0x20 inside a string; a lone or reversed \u surrogate),
+  /// trailing garbage or nesting past kMaxDepth. A \u escape decodes to
+  /// its character's UTF-8 bytes, and a high surrogate escape followed
+  /// by a low one to the single 4-byte character of the pair. Integers
+  /// that fit int64/uint64 parse as kInt/kUint, everything else numeric
+  /// as kDouble; a number past double's range, or one that underflows
+  /// to zero, does not parse. An object's members are sorted once, not
+  /// inserted one at a time, so keys out of order cost one sort.
   static std::optional<Json> parse(std::string_view text);
 
  private:

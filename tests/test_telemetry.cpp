@@ -112,6 +112,30 @@ TEST(Json, ParseRejectsGarbage) {
   const auto escaped = Json::parse("\"tab\\t \\u001f \x7f\"");
   ASSERT_TRUE(escaped.has_value());
   EXPECT_EQ(escaped->as_string(), "tab\t \x1f \x7f");
+  // A \u escape is one UTF-8 character, at each width's edges; a
+  // surrogate pair is one 4-byte character, and a lone or reversed
+  // surrogate names none.
+  const std::pair<const char*, const char*> characters[] = {
+      {"\"\\u007f\"", "\x7f"},
+      {"\"\\u0080\"", "\xc2\x80"},
+      {"\"\\u07ff\"", "\xdf\xbf"},
+      {"\"\\u0800\"", "\xe0\xa0\x80"},
+      {"\"\\uffff\"", "\xef\xbf\xbf"},
+      {"\"\\ud83d\\ude00\"", "\xf0\x9f\x98\x80"},
+      {"\"\\uD800\\uDC00\"", "\xf0\x90\x80\x80"},
+      {"\"\\udbff\\udfff\"", "\xf4\x8f\xbf\xbf"},
+  };
+  for (const auto& [text, bytes] : characters) {
+    const auto parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(parsed->as_string(), bytes) << text;
+  }
+  for (const char* text :
+       {"\"\\ud83d\"", "\"\\ude00\"", "\"\\ude00\\ud83d\"",
+        "\"\\ud83d\\ud83d\"", "\"\\ud83dx\"", "\"\\ud83d\\n\"",
+        "\"\\ud83d\\u0041\"", "\"\\ud83d\\ude0\"", "\"\\ud83d\\"}) {
+    EXPECT_FALSE(Json::parse(text).has_value()) << text;
+  }
 }
 
 /// `depth` arrays nested in one another, innermost holding `leaf`.
