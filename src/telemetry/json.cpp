@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <system_error>
 
@@ -567,27 +568,33 @@ class JsonParser {
   }
 
   /// Puts members into key order, keeping the last of equal keys. The
-  /// writer emits keys ascending, so its output skips the sort.
+  /// writer emits keys ascending, so its output skips the sort. The sort
+  /// permutes member indices, so each member moves once.
   static void sort_members(Members& members) {
-    const auto less = [](const Json::Member& a, const Json::Member& b) {
-      return a.first < b.first;
-    };
-    const auto not_less = [&](const Json::Member& a, const Json::Member& b) {
-      return !less(a, b);
+    const auto not_less = [](const Json::Member& a, const Json::Member& b) {
+      return !(a.first < b.first);
     };
     if (std::adjacent_find(members.begin(), members.end(), not_less) ==
         members.end()) {
       return;
     }
-    std::stable_sort(members.begin(), members.end(), less);
-    auto kept = members.begin();
-    for (auto it = members.begin(); it != members.end(); ++it) {
-      const auto next = std::next(it);
-      if (next != members.end() && next->first == it->first) continue;
-      if (kept != it) *kept = std::move(*it);
-      ++kept;
+    std::vector<std::size_t> order(members.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return members[a].first < members[b].first;
+                     });
+    Members sorted;
+    sorted.reserve(members.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      Json::Member& member = members[order[k]];
+      // Stable order puts a later equal key after this one; it wins.
+      if (k + 1 < order.size() && members[order[k + 1]].first == member.first) {
+        continue;
+      }
+      sorted.push_back(std::move(member));
     }
-    members.erase(kept, members.end());
+    members = std::move(sorted);
   }
 
   std::string_view text_;

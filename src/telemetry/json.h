@@ -138,7 +138,8 @@ class Json {
   /// that fit int64/uint64 parse as kInt/kUint, everything else numeric
   /// as kDouble; a number past double's range, or one that underflows
   /// to zero, does not parse. An object's members are sorted once, not
-  /// inserted one at a time, so keys out of order cost one sort.
+  /// inserted one at a time, so keys out of order cost one sort of their
+  /// indices.
   static std::optional<Json> parse(std::string_view text);
 
  private:
