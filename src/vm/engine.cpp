@@ -2810,8 +2810,8 @@ class Engine::Impl {
   std::uint64_t heap_end_ = 0;
   bool layout_ok_ = true;
 
-  /// The position and step count where code outside the loop reads
-  /// them; the loop's locals are the copy it runs on (see loop()).
+  /// The pc for code outside the loop; the loop runs on a local copy
+  /// and stores it here where that code reads it (see loop()).
   std::int32_t pc_ = 0;
   bool halted_ = false;
   /// The set a golden run is capturing into (run_capturing only).
@@ -2858,6 +2858,7 @@ class Engine::Impl {
   /// tallies) is active this run; recomputed at every run entry.
   bool site_observers_ = false;
 
+  /// The step count for code outside the loop, stored like pc_.
   std::uint64_t steps_ = 0;
   std::uint64_t fi_sites_ = 0;
   std::uint64_t fault_step_ = 0;
