@@ -79,6 +79,9 @@ void Sha256::update(const void* data, std::size_t size) {
   if (finalized_) {
     throw std::logic_error("Sha256::update after digest()");
   }
+  // An empty update may pass a null pointer (an empty vector's data()),
+  // which memcpy must not receive even for zero bytes.
+  if (size == 0) return;
   const std::uint8_t* bytes = static_cast<const std::uint8_t*>(data);
   total_bytes_ += size;
   if (buffered_ > 0) {

@@ -76,6 +76,19 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(hasher.hex_digest(), sha256_hex(text));
 }
 
+TEST(Sha256, EmptyUpdatesFromNullChangeNothing) {
+  // An empty vector's data() may be null; hashing it must be a no-op,
+  // with bytes buffered or not (memcpy from null is undefined even for
+  // zero bytes, and the address preset's UBSan stops on it).
+  Sha256 hasher;
+  hasher.update(nullptr, 0);
+  hasher.update("ab");
+  hasher.update(std::vector<std::uint8_t>().data(), 0);
+  hasher.update(std::string_view());
+  hasher.update("c");
+  EXPECT_EQ(hasher.hex_digest(), sha256_hex("abc"));
+}
+
 TEST(Sha256, DigestIsIdempotentAndSealsTheHasher) {
   Sha256 hasher;
   hasher.update("abc");
